@@ -239,10 +239,16 @@ def bench_end_to_end(quick: bool = False, seed: int = 3) -> List[Dict]:
 #: The first entry is the showcase configuration of the wave acceptance
 #: gate — a 2D mobile robot among 32 obstacles where per-motion kernel-call
 #: overhead dominates, i.e. the case wavefront batching amortizes best.
+#: The second rewires inside every wave (full MOPED on a 7-DoF arm), so
+#: its bit-equality gate covers the batched choose-parent/rewire replay.
 WAVE_SUITE = (
     ("mobile2d/32obs/v1-norewire", "mobile2d", 32, "v1", {"rewire": False}),
+    ("xarm7/24obs/v4", "xarm7", 24, "v4", {}),
     ("rozum/32obs/v1", "rozum", 32, "v1", {}),
 )
+
+#: Leading WAVE_SUITE points that ``--quick`` (CI) runs.
+WAVE_QUICK_CASES = 2
 
 #: Sampling budget of every wave-bench run.  Fixed (independent of --quick)
 #: so quick CI runs and the committed full baseline share the same
@@ -295,7 +301,7 @@ def bench_wave(quick: bool = False, seed: int = 3, wave_width: int = 8) -> List[
     medians, which suppresses machine drift better than best-of-N here
     (whole planner runs are long enough to be preempted).
     """
-    suite = WAVE_SUITE[:1] if quick else WAVE_SUITE
+    suite = WAVE_SUITE[:WAVE_QUICK_CASES] if quick else WAVE_SUITE
     reps = 3 if quick else 5
     records: List[Dict] = []
     for label, robot_name, num_obstacles, variant, overrides in suite:

@@ -102,7 +102,7 @@ from repro.core.counters import OpCounter
 from repro.core.lru import LRUMap
 from repro.core.robots import RobotModel
 from repro.core.world import Environment
-from repro.geometry.motion import interpolate_configs, interpolate_edges
+from repro.geometry.motion import interpolate_edges
 from repro.kernels import KERNEL_BACKENDS, batch as kernels_batch
 from repro.kernels.tensors import BodyBatch
 from repro.obs import bump, observe
@@ -206,24 +206,6 @@ class CollisionChecker:
              help="Motion (edge) collision queries issued")
         start = np.asarray(start, dtype=float)
         end = np.asarray(end, dtype=float)
-        if self._edge_cache is None:
-            # Single uncached edge: the per-movement path (whole-ladder FK
-            # + one kernel pass, events recorded straight into ``counter``)
-            # is the same stacked computation without the multi-edge
-            # reduction machinery, whose fixed costs only pay off across a
-            # wave.  Totals are identical either way (integer cost
-            # weights), which the whole-edge property tests pin.
-            injector = self._injector
-            if injector is not None:
-                injector.fire("edge.validate")
-            configs = interpolate_configs(start, end, self.motion_resolution)
-            observe("repro_cc_edge_ladder_steps", len(configs) - 1,
-                    help="Interpolation ladder length per validated edge",
-                    buckets=LADDER_STEP_BUCKETS)
-            bump("repro_cc_edge_validations_total",
-                 path="edge_kernel" if self._edge_batchable() else "scalar",
-                 help="Edge validations by execution path")
-            return self._check_configs(configs, counter)
         verdict, events = self.motion_results_batch(start[None, :], end[None, :])[0]
         if counter is not None:
             counter.merge(events)
@@ -327,7 +309,7 @@ class CollisionChecker:
         per edge, captured into fresh counters.
         """
         configs, offsets = interpolate_edges(starts, ends, self.motion_resolution)
-        steps_list = np.diff(offsets) - 1
+        bounds = offsets.tolist()
         if self._edge_batchable():
             bodies = BodyBatch.from_frames(*self.robot.body_frames_batch(configs))
             pairs = self._batch_motion_results(bodies, offsets)
@@ -342,7 +324,7 @@ class CollisionChecker:
                         break
                 pairs.append((verdict, captured))
         return [
-            (verdict, events, int(steps_list[e]))
+            (verdict, events, bounds[e + 1] - bounds[e] - 1)
             for e, (verdict, events) in enumerate(pairs)
         ]
 
@@ -383,7 +365,7 @@ class CollisionChecker:
 
         Note the collision cache is deliberately NOT consulted here: the
         per-configuration bookkeeping it needs costs more than it saves on
-        a single short movement.  Cached results flow through
+        a single query.  Cached results flow through
         :meth:`config_results`, where the wavefront planner amortises the
         bookkeeping over a whole wave of edges; per-configuration event
         sums equal the aggregate replay (integer cost weights), so both
@@ -901,51 +883,45 @@ class TwoStageChecker(CollisionChecker):
                     survivors > 0, n_aabb, n_obb, survivors, row_offsets
                 )
             )
-            checks_arr = np.zeros(count, dtype=np.int64)
+            checks = [0] * count
         else:
             stage2 = self._stage2_hits(bodies, candidates)
-            order = ftree.entry_order
-            cand_ord = candidates[:, order]
-            hits_ord = stage2[:, order]
             hits, dones, aabb_tot, obb_tot, sur_tot, last_rows = (
                 kernels_batch.edge_two_stage_counts(
-                    hits_ord.any(axis=1), n_aabb, n_obb, survivors, row_offsets
+                    stage2.any(axis=1), n_aabb, n_obb, survivors, row_offsets
                 )
             )
             # Misses run the exact SAT on every surviving candidate; hits
             # stop inside the hitting row at the hitting candidate (its
             # position in the traversal's static visit order).
-            checks_arr = sur_tot.astype(np.int64).copy()
-            for e in np.nonzero(hits)[0]:
-                row = int(last_rows[e])
-                first = int(np.argmax(hits_ord[row]))
-                before = int(sur_tot[e]) - int(survivors[row])
-                checks_arr[e] = before + int(
-                    np.count_nonzero(cand_ord[row, : first + 1])
-                )
+            checks = list(sur_tot)
+            order = ftree.entry_order
+            for e, hit in enumerate(hits):
+                if hit:
+                    row = last_rows[e]
+                    first = int(np.argmax(stage2[row, order]))
+                    checks[e] += int(
+                        np.count_nonzero(candidates[row, order][: first + 1])
+                    ) - int(survivors[row])
 
         pairs = []
-        dones_l = dones.tolist()
-        aabb_l = aabb_tot.tolist()
-        obb_l = obb_tot.tolist()
-        checks_l = checks_arr.tolist()
-        for e, hit in enumerate(hits.tolist()):
+        for e, hit in enumerate(hits):
             captured = OpCounter()
-            captured.record("aabb_derive", dim=dim, n=int(dones_l[e]))
-            if aabb_l[e]:
-                captured.record("sat_aabb_aabb", dim=dim, n=int(aabb_l[e]))
-            if obb_l[e]:
-                captured.record("sat_aabb_obb", dim=dim, n=int(obb_l[e]))
-            if checks_l[e]:
-                captured.record("sat_obb_obb", dim=dim, n=int(checks_l[e]))
-            pairs.append((bool(hit), captured))
-        bump("repro_cc_stage1_queries_total", int(dones.sum()),
+            captured.record("aabb_derive", dim=dim, n=dones[e])
+            if aabb_tot[e]:
+                captured.record("sat_aabb_aabb", dim=dim, n=aabb_tot[e])
+            if obb_tot[e]:
+                captured.record("sat_aabb_obb", dim=dim, n=obb_tot[e])
+            if checks[e]:
+                captured.record("sat_obb_obb", dim=dim, n=checks[e])
+            pairs.append((hit, captured))
+        bump("repro_cc_stage1_queries_total", sum(dones),
              help="Two-stage first-stage (R-tree AABB filter) queries")
-        total_survivors = int(sur_tot.sum())
+        total_survivors = sum(sur_tot)
         if total_survivors:
             bump("repro_cc_stage1_survivors_total", total_survivors,
                  help="Obstacles surviving the first-stage AABB filter")
-        total_checks = int(checks_arr.sum())
+        total_checks = sum(checks)
         if total_checks:
             bump("repro_cc_stage2_checks_total", total_checks,
                  help="Exact OBB-OBB checks run in the second stage")

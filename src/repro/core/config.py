@@ -84,8 +84,8 @@ class PlannerConfig:
         edge_cache: capacity of the whole-edge collision-result cache —
             keyed on both endpoint configurations, a hit replays the stored
             verdict and counter events and skips ladder construction, FK,
-            and the SAT kernels entirely.  Same ``None``/0 convention as
-            ``collision_cache`` (auto = 4096 when ``wave_width > 1``).
+            and the SAT kernels entirely.  ``None`` (default, auto) and 0
+            disable it; a positive capacity enables it at any wave width.
         cache_quantum: configuration-space quantisation step for collision
             cache keys.  0.0 (default) keys on exact float bytes, which
             preserves bit-identical planning; > 0 trades exactness for a
@@ -219,10 +219,13 @@ class PlannerConfig:
         return 1024 if self.wave_width > 1 else 0
 
     def resolved_edge_cache(self) -> int:
-        """Whole-edge cache capacity after the auto rule (0 = disabled)."""
-        if self.edge_cache is not None:
-            return self.edge_cache
-        return 4096 if self.wave_width > 1 else 0
+        """Whole-edge cache capacity after the auto rule (0 = disabled).
+
+        Auto is off at every wave width: planner edges almost never repeat,
+        and the wavefront's per-wave verdict map already replays each
+        batched edge once.
+        """
+        return self.edge_cache if self.edge_cache is not None else 0
 
     def neighbor_radius(self, n: int, dim: int, step: float) -> float:
         """Shrinking RRT\\* neighborhood radius at tree size ``n``.

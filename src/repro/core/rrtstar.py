@@ -27,6 +27,15 @@ pending-node miss.  Every counter event of the scalar round is replayed at
 commit time (batched arithmetic feeds verdicts, not counts), so paths,
 costs, and OpCounter totals are bit-identical to the scalar planner at the
 equivalent speculation depth.
+
+The wave's choose-parent and rewire edges are batched the same way
+(mask-then-replay).  Edge verdicts do not depend on tree state; only which
+edges the scalar extend checks does.  So once the speculation has fixed
+each likely accept's ``x_new``, a cost-pruned superset of its neighborhood
+edges rides along in the wave's second collision call, and ``_extend``
+replays each verdict it actually needs from a per-wave map.  Edges it
+never asks for are charged nothing; an edge the map lacks is checked
+singly, so a misprediction costs time, never correctness.
 """
 
 from __future__ import annotations
@@ -54,6 +63,11 @@ from repro.core.world import PlanningTask
 _NS_KINDS = ("dist", "mindist", "plane_compare", "buffer_read", "rebuild_item")
 _CC_KINDS = ("sat_obb_obb", "sat_aabb_obb", "sat_aabb_aabb", "aabb_derive", "grid_lookup")
 _MAINT_KINDS = ("enlargement", "mbr_update", "insert_direct", "split")
+
+_EXTEND_EDGES_HELP = (
+    "Wave-batched choose-parent/rewire edges by commit outcome "
+    "(replayed, fallback single check, unused)"
+)
 
 
 class _RunState:
@@ -269,15 +283,29 @@ class RRTStarPlanner:
         call.  Each sample only sees the tree prefix the scalar planner at
         ``speculation_depth = W`` would see (pending rounds are blinded).
 
+        Batched extend: :meth:`_simulate_commit` walks the commit order
+        ahead of time to fix each likely accept's ``x_new``, then
+        :meth:`_extend_edges` collects the choose-parent edges
+        (``point -> x_new``) and rewire edges (``x_new -> point``) the
+        scalar extend may check, pruned by snapshot costs.  They share the
+        wave's second ``motion_results_batch`` call with the re-steered
+        edges, so a wave makes at most two kernel calls.  The resulting
+        verdict map, keyed on exact endpoint bytes, lives for this wave
+        only.
+
         Stage 2 (commit, in sample order): each sample replays the scalar
         round — nearest + missing-neighbors repair, steer, collision,
         extend — into its own sub-counter.  When the committed nearest
         matches the speculation, the edge's verdict and captured counter
         events are replayed from the batched stage; otherwise (an intra-wave
         conflict repaired the nearest) the edge is re-checked scalar-wise,
-        exactly like a speculation miss in the hardware pipeline.  Because
-        all cost-model weights are integers, merging the sub-counters
-        reproduces the scalar counter totals bit-for-bit.
+        exactly like a speculation miss in the hardware pipeline.  Inside
+        ``_extend`` each choose-parent/rewire edge the scalar loop checks
+        is looked up in the verdict map and replayed on a hit, checked
+        singly on a miss; ``repro_cc_extend_edges_total`` counts replayed,
+        fallback and unused edges.  Because all cost-model weights are
+        integers, merging the sub-counters reproduces the scalar counter
+        totals bit-for-bit.
         """
         config, task, dim = self.config, self.task, self.robot.dof
         width_cfg = config.wave_width
@@ -367,8 +395,8 @@ class RRTStarPlanner:
                     )
                     for j, res in zip(seg_js, edge_results):
                         batch1[j] = res
-                self._simulate_commit(
-                    xs, width, n0, pre_key, pre_dist, points,
+                verdicts = self._simulate_commit(
+                    xs, width, n0, pre_key, pre_dist, points, tree.costs_view(),
                     spec_key, spec_new, spec_results, batch1,
                 )
 
@@ -428,7 +456,8 @@ class RRTStarPlanner:
                     if not blocked:
                         with obs.phase("rewire", sub):
                             node_id = self._extend(
-                                tree, x_new, nearest_key, nearest_point, sub
+                                tree, x_new, nearest_key, nearest_point, sub,
+                                verdicts,
                             )
                         accepted = True
                         self._after_accept(tree, node_id, x_new, iteration, state)
@@ -451,12 +480,15 @@ class RRTStarPlanner:
                 if config.stop_on_goal and state.first_solution is not None:
                     stop = True
                     break
+            if verdicts:
+                bump("repro_cc_extend_edges_total", len(verdicts),
+                     outcome="unused", help=_EXTEND_EDGES_HELP)
             if stop:
                 break
             start += width
 
-    def _simulate_commit(self, xs, width, n0, pre_key, pre_dist, points,
-                         spec_key, spec_new, spec_results, batch1):
+    def _simulate_commit(self, xs, width, n0, pre_key, pre_dist, points, costs,
+                         spec_key, spec_new, spec_results, batch1) -> dict:
         """Fold intra-wave accepts into the speculation (two sim passes).
 
         The pre-pass speculation only sees the tree snapshot, so a sample
@@ -466,7 +498,10 @@ class RRTStarPlanner:
 
         * Pass A predicts each sample's acceptance from the batch-1
           verdicts; samples whose predicted nearest moves to an intra-wave
-          accept get their edge re-steered and validated whole in one
+          accept get their edge re-steered.  A re-steered edge is a short
+          hop to a node just accepted nearby, so pass A assumes it free.
+          The re-steered edges and the choose-parent/rewire edges of every
+          likely accept (:meth:`_extend_edges`) are validated whole in one
           second :meth:`~repro.core.collision.CollisionChecker.
           motion_results_batch` call.
         * Pass B re-walks the chain with both verdict sets and fixes the
@@ -476,9 +511,13 @@ class RRTStarPlanner:
 
         The simulation uses bitwise the same steering and distance
         arithmetic as the commit, so its predictions are exact unless a
-        re-steered edge's own acceptance was mispredicted (third-order
-        conflicts); any misprediction surfaces only as a commit-time
-        speculation miss — the scalar fallback — never as a wrong result.
+        re-steered edge turns out blocked (third-order conflicts); any
+        misprediction surfaces only as a commit-time speculation miss —
+        the single-edge fallback — never as a wrong result.
+
+        Returns the wave's verdict map for :meth:`_extend`: batched
+        choose-parent/rewire ``(verdict, events)`` keyed on the exact
+        ``(start, end)`` endpoint bytes.
 
         Both passes prefilter with squared-distance matrices to the
         candidate accept points (one stacked einsum per candidate set);
@@ -490,7 +529,7 @@ class RRTStarPlanner:
             for j in range(width):
                 spec_key[j] = pre_key[j]
                 spec_results[j] = batch1.get(j)
-            return
+            return {}
         margin = 1.0 + 1e-9
         cmat = np.stack([spec_new[j] for j in cand_idx])
         d_a = cmat[None, :, :] - xs[:, None, :]
@@ -498,39 +537,58 @@ class RRTStarPlanner:
         col_of = {j: i for i, j in enumerate(cand_idx)}
 
         # ---- pass A: find edges that need a second collision batch
-        accepts = []  # (candidate column, point)
+        # (candidate column, or None when not in sq_a; point; likely index)
+        accepts = []
         resteer = []
+        # Likely accepts in commit order: (x_new, nearest), nearest being
+        # a snapshot key or n0 + the index of an earlier likely accept.
+        likely = []
         for j in range(width):
             dist = pre_dist[j]
             bound = dist * dist * margin
             row = sq_a[j]
-            pt = None
-            for col, apt in accepts:
-                if row[col] <= bound:
+            pt = ref = None
+            for col, apt, idx in accepts:
+                if col is None or row[col] <= bound:
                     pdist = float(np.linalg.norm(apt - xs[j]))
                     if pdist < dist:
-                        dist, pt = pdist, apt
+                        dist, pt, ref = pdist, apt, n0 + idx
                         bound = dist * dist * margin
             if pt is not None:
-                # Moved intra-wave: re-steer; assume rejected this pass.
+                # Moved intra-wave: re-steer, and assume the short hop
+                # is free.
                 if dist > 1e-12:
                     x2 = self._steer(pt, xs[j], dist)
                     resteer.append((j, pt, x2))
+                    accepts.append((None, x2, len(likely)))
+                    likely.append((x2, ref))
                 continue
             res = batch1.get(j)
             if res is not None and not res[0]:
-                accepts.append((col_of[j], spec_new[j]))
+                accepts.append((col_of[j], spec_new[j], len(likely)))
+                likely.append((spec_new[j], pre_key[j]))
+        starts = [pt for _, pt, _ in resteer]
+        ends = [x2 for _, _, x2 in resteer]
+        if likely and self.config.rewire:
+            extend_starts, extend_ends = self._extend_edges(
+                likely, points, costs, n0
+            )
+            starts.extend(extend_starts)
+            ends.extend(extend_ends)
         batch2: dict = {}
         bcol_of: dict = {}
+        verdicts: dict = {}
         sq_b = None
-        if resteer:
+        if starts:
             edge_results = self.checker.motion_results_batch(
-                np.stack([pt for _, pt, _ in resteer]),
-                np.stack([x2 for _, _, x2 in resteer]),
+                np.stack(starts), np.stack(ends)
             )
             for i, ((j, _, x2), res) in enumerate(zip(resteer, edge_results)):
                 batch2[j] = (x2, res)
                 bcol_of[j] = i
+            for i in range(len(resteer), len(starts)):
+                verdicts[starts[i].tobytes(), ends[i].tobytes()] = edge_results[i]
+        if resteer:
             bmat = np.stack([x2 for _, _, x2 in resteer])
             d_b = bmat[None, :, :] - xs[:, None, :]
             sq_b = np.einsum("wmd,wmd->wm", d_b, d_b).tolist()
@@ -570,6 +628,55 @@ class RRTStarPlanner:
             spec_results[j] = results
             if results is not None and not results[0]:
                 accepts.append((in_b, col, spec_new[j]))
+        return verdicts
+
+    def _extend_edges(self, likely, points, costs, n0):
+        """Choose-parent and rewire edges ``_extend`` may check this wave.
+
+        ``likely`` lists the wave's likely accepts in commit order as
+        ``(x_new, nearest)``, where ``nearest`` indexes the snapshot points
+        followed by the likely accepts themselves (``n0 + i``).  Each
+        accept's candidates are the snapshot nodes and earlier likely
+        accepts within the snapshot's neighborhood radius: the radius never
+        grows with the tree, so it bounds the commit-time one and with it
+        SI-MBR's approximated neighborhood.  Snapshot costs then prune
+        them.  A choose-parent edge ``point -> x_new`` is kept when
+        ``cost + dist`` undercuts the nearest's ``cost + edge``; a rewire
+        edge ``x_new -> point`` when a lower bound of the new node's cost
+        plus ``dist`` undercuts ``cost``.  A likely accept is costed from
+        above by its nearest and from below by its best candidate.
+        Rewires earlier in the wave only lower costs, so the sets are
+        supersets up to those drops; an edge missed here is checked singly
+        at commit.
+
+        Returns the ``(starts, ends)`` endpoint arrays of the edges.
+        """
+        slack = 1.0 + 1e-9
+        count = len(likely)
+        radius = self.config.neighbor_radius(n0, self.robot.dof, self.step)
+        new_pts = np.stack([x for x, _ in likely])
+        cand_pts = np.concatenate([points, new_pts])
+        diffs = cand_pts[None, :, :] - new_pts[:, None, :]
+        dist = np.sqrt(np.einsum("and,and->an", diffs, diffs))
+        inside = dist <= radius * slack
+        # Only accepts committed earlier can be a candidate.
+        inside[:, n0:] &= np.tri(count, k=-1, dtype=bool)
+        high = np.concatenate([costs, np.zeros(count)])
+        low = high.copy()
+        parent = np.zeros_like(inside)
+        for i, (_, near) in enumerate(likely):
+            high[n0 + i] = (high[near] + dist[i, near]) * slack
+            via = low + dist[i]
+            parent[i] = inside[i] & (via < high[n0 + i])
+            # The nearest ties best_cost, so choose-parent never checks it.
+            parent[i, near] = False
+            low[n0 + i] = min(high[n0 + i], via[parent[i]].min(initial=np.inf))
+        rewire = inside & (low[n0:, None] + dist < high * slack)
+        p_rows, p_cols = np.nonzero(parent)
+        r_rows, r_cols = np.nonzero(rewire)
+        starts = np.concatenate([cand_pts[p_cols], new_pts[r_rows]])
+        ends = np.concatenate([new_pts[p_rows], cand_pts[r_cols]])
+        return starts, ends
 
     def _replay_motion(self, result, counter) -> bool:
         """Commit a speculatively validated edge from its stored result.
@@ -704,11 +811,14 @@ class RRTStarPlanner:
             return target.copy()
         return origin + (self.step / dist) * (target - origin)
 
-    def _extend(self, tree, x_new, nearest_key, nearest_point, counter):
+    def _extend(self, tree, x_new, nearest_key, nearest_point, counter,
+                verdicts=None):
         """Choose-parent + insert + rewire for an accepted sample.
 
         With ``config.rewire`` disabled the sample is attached straight to
         ``x_nearest`` (plain RRT): no neighborhood query, no refinement.
+        ``verdicts`` is the wavefront's per-wave map of batched edge
+        results (see :meth:`_edge_in_collision`); None in the scalar loop.
         """
         config, dim = self.config, self.robot.dof
         if not config.rewire:
@@ -738,7 +848,7 @@ class RRTStarPlanner:
             cost = tree.cost(key) + dist
             if cost >= best_cost:
                 break
-            if not self.checker.motion_in_collision(point, x_new, counter=counter):
+            if not self._edge_in_collision(point, x_new, counter, verdicts):
                 parent_key, parent_edge, best_cost = key, dist, cost
                 break
 
@@ -755,9 +865,36 @@ class RRTStarPlanner:
                 continue
             if self._is_ancestor(tree, key, node_id):
                 continue
-            if not self.checker.motion_in_collision(x_new, point, counter=counter):
+            if not self._edge_in_collision(x_new, point, counter, verdicts):
                 tree.rewire(key, node_id, dist)
         return node_id
+
+    def _edge_in_collision(self, start, end, counter, verdicts) -> bool:
+        """One choose-parent/rewire edge check, replayed when wave-batched.
+
+        A hit in the wave's verdict map replays the batched edge exactly
+        like a single check would record it; a miss (or the scalar loop,
+        ``verdicts is None``) runs the single-edge check.
+        """
+        if verdicts is None:
+            return self.checker.motion_in_collision(start, end, counter=counter)
+        result = self._take_verdict(verdicts, start, end)
+        if result is None:
+            bump("repro_cc_extend_edges_total", outcome="fallback",
+                 help=_EXTEND_EDGES_HELP)
+            return self.checker.motion_in_collision(start, end, counter=counter)
+        bump("repro_cc_extend_edges_total", outcome="replayed",
+             help=_EXTEND_EDGES_HELP)
+        return self._replay_motion(result, counter)
+
+    @staticmethod
+    def _take_verdict(verdicts, start, end):
+        """Pop the batched ``(verdict, events)`` of edge start -> end, if any.
+
+        Keyed on the exact endpoint bytes in check direction: a verdict
+        depends on nothing else, so a hit is the single check's result.
+        """
+        return verdicts.pop((start.tobytes(), end.tobytes()), None)
 
     @staticmethod
     def _is_ancestor(tree, candidate: int, node_id: int) -> bool:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -104,10 +105,15 @@ def interpolate_edges(starts: np.ndarray, ends: np.ndarray, resolution: float):
         raise ValueError("starts and ends must be matching (edges, dof) arrays")
     edges = len(starts)
     counts = [motion_steps(starts[e], ends[e], resolution) + 1 for e in range(edges)]
-    offsets = np.zeros(edges + 1, dtype=np.intp)
+    offsets = np.array([0, *accumulate(counts)], dtype=np.intp)
     if not edges:
         return np.empty((0, starts.shape[1])), offsets
-    np.cumsum(counts, out=offsets[1:])
+    if edges == 1:
+        # A single-edge check (the W=1 planners' unit of work) skips the
+        # repeat/concatenate bookkeeping; the arithmetic is the same.
+        fractions = unit_fractions(counts[0] - 1)
+        configs = starts[0] + fractions[:, None] * (ends[0] - starts[0])
+        return configs, offsets
     fractions = np.concatenate([unit_fractions(c - 1) for c in counts])
     configs = np.repeat(starts, counts, axis=0) + fractions[:, None] * np.repeat(
         ends - starts, counts, axis=0

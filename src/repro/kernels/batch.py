@@ -39,7 +39,6 @@ __all__ = [
     "nearest_index",
     "radius_mask",
     "segment_first_hit",
-    "segment_prefix_totals",
 ]
 
 
@@ -304,21 +303,6 @@ def segment_first_hit(flat, offsets):
     return hits, visited.astype(np.int64)
 
 
-def segment_prefix_totals(values, starts, lengths):
-    """Sums of ``values[starts[e] : starts[e] + lengths[e]]`` per segment.
-
-    One global cumulative sum, so the cost is independent of the number of
-    segments.  ``values`` must be integer-valued (traversal counts); the
-    result is exact int64.
-    """
-    values = np.asarray(values)
-    cum = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum(values, out=cum[1:])
-    starts = np.asarray(starts, dtype=np.intp)
-    lengths = np.asarray(lengths, dtype=np.intp)
-    return cum[starts + lengths] - cum[starts]
-
-
 def edge_obb_obb_grid(a_c, a_h, a_r, a_lo, a_hi,
                       b_c, b_h, b_r, b_lo, b_hi, row_offsets):
     """Whole-edge brute OBB-OBB SAT: broadphased grid + per-edge reduction.
@@ -386,19 +370,34 @@ def edge_two_stage_counts(row_hit, n_aabb, n_obb, survivors, row_offsets):
     Inputs are per-body-row statistics of the stacked R-tree traversal
     (hit flag, stage-1 AABB-AABB and AABB-OBB test counts, surviving
     candidates); ``row_offsets`` bounds each edge's contiguous row block.
-    Returns ``(hits, dones, aabb_tot, obb_tot, sur_tot, last_rows)``:
+    Returns lists ``(hits, dones, aabb_tot, obb_tot, sur_tot, last_rows)``:
     per-edge hit verdicts, the number of body rows the scalar loop
     processes (through the first hitting row), the stage-1 totals over
     those rows, and the index of the last processed row (the hitting row
     when ``hits[e]``).
+
+    A wave call holds a handful of edges, and a single-edge check one, so
+    the per-edge walk runs over Python lists: cheaper there than the fixed
+    cost of a vectorized segment reduction.
     """
-    hits, dones = segment_first_hit(row_hit, row_offsets)
-    starts = np.asarray(row_offsets[:-1], dtype=np.intp)
-    aabb_tot = segment_prefix_totals(n_aabb, starts, dones)
-    obb_tot = segment_prefix_totals(n_obb, starts, dones)
-    sur_tot = segment_prefix_totals(survivors, starts, dones)
-    last_rows = starts + dones - 1
-    return hits, dones, aabb_tot, obb_tot, sur_tot, last_rows
+    bounds = np.asarray(row_offsets).tolist()
+    hit_rows = np.flatnonzero(row_hit).tolist()
+    aabb, obb, sur = n_aabb.tolist(), n_obb.tolist(), survivors.tolist()
+    out = ([], [], [], [], [], [])
+    hits, dones, aabb_tot, obb_tot, sur_tot, last_rows = out
+    k = 0
+    for start, end in zip(bounds, bounds[1:]):
+        while k < len(hit_rows) and hit_rows[k] < start:
+            k += 1
+        hit = k < len(hit_rows) and hit_rows[k] < end
+        stop = hit_rows[k] + 1 if hit else end
+        hits.append(hit)
+        dones.append(stop - start)
+        aabb_tot.append(sum(aabb[start:stop]))
+        obb_tot.append(sum(obb[start:stop]))
+        sur_tot.append(sum(sur[start:stop]))
+        last_rows.append(stop - 1)
+    return out
 
 
 # ------------------------------------------------------- distance reductions

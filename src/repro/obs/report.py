@@ -144,10 +144,15 @@ def build_report(
         entry["hit_rate"] = (entry["hit"] / lookups) if lookups else 0.0
 
     # Whole-edge validation: motion queries, which execution path served
-    # them (edge_kernel / scalar / cache), and the mean interpolation-
-    # ladder length from the per-edge histogram.
+    # them (edge_kernel / scalar / cache), the wavefront's batched
+    # choose-parent/rewire edges by commit outcome (replayed / fallback /
+    # unused), and the mean interpolation-ladder length from the per-edge
+    # histogram.
     edge_paths = dict(sorted(_label_map(
         metrics.get("repro_cc_edge_validations_total", []), "path"
+    ).items()))
+    extend_edges = dict(sorted(_label_map(
+        metrics.get("repro_cc_extend_edges_total", []), "outcome"
     ).items()))
     ladder_sum = sum(v for _, v in metrics.get("repro_cc_edge_ladder_steps_sum", []))
     ladder_count = sum(v for _, v in metrics.get("repro_cc_edge_ladder_steps_count", []))
@@ -155,6 +160,7 @@ def build_report(
     edge_validation: Dict[str, object] = {
         "motion_checks": motion_checks,
         "by_path": edge_paths,
+        "extend_edges": extend_edges,
         "ladder_steps_mean": (ladder_sum / ladder_count) if ladder_count else 0.0,
         "ladders_observed": ladder_count,
     }
@@ -307,6 +313,10 @@ def render_report(report: Dict) -> str:
         paths = edge.get("by_path") or {}
         rows = [["motion checks", int(edge.get("motion_checks", 0))]]
         rows += [[f"path: {name}", int(value)] for name, value in paths.items()]
+        rows += [
+            [f"extend edges: {name}", int(value)]
+            for name, value in (edge.get("extend_edges") or {}).items()
+        ]
         if edge.get("ladders_observed"):
             rows.append(["mean ladder steps", edge["ladder_steps_mean"]])
         blocks.append(

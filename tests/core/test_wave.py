@@ -12,10 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.collision import CollisionChecker
 from repro.core.metrics import RoundRecord, wave_occupancy
 from repro.core.moped import config_for_variant
 from repro.core.robots import get_robot
-from repro.core.rrtstar import plan
+from repro.core.rrtstar import RRTStarPlanner, plan
 from repro.workloads.generator import random_task
 
 
@@ -66,6 +67,68 @@ class TestWaveBitEquality:
         wave = _plan("mobile2d", "v1", rewire=False, wave_width=8)
         scalar = _plan("mobile2d", "v1", rewire=False, speculation_depth=8)
         _assert_bit_identical(wave, scalar)
+
+
+class TestWaveBatchedExtend:
+    """Choose-parent/rewire edges batched per wave, replayed at commit."""
+
+    @pytest.fixture
+    def replays(self, monkeypatch):
+        """Count verdict-map hits while keeping the real lookup."""
+        hits = []
+        take = RRTStarPlanner._take_verdict
+
+        def spy(verdicts, start, end):
+            result = take(verdicts, start, end)
+            hits.append(result is not None)
+            return result
+
+        monkeypatch.setattr(RRTStarPlanner, "_take_verdict", staticmethod(spy))
+        return hits
+
+    @pytest.mark.parametrize("robot", ["xarm7", "rozum"])
+    @pytest.mark.parametrize("width", [2, 8])
+    def test_rewiring_wave_matches_scalar(self, robot, width, replays):
+        wave = _plan(robot, "v4", samples=300, obstacles=24, wave_width=width)
+        # Rewire and choose-parent edges really were served from the batch.
+        assert sum(replays) > 0
+        scalar = _plan(robot, "v4", samples=300, obstacles=24,
+                       speculation_depth=width)
+        _assert_bit_identical(wave, scalar)
+
+    def test_every_lookup_missing_is_still_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(RRTStarPlanner, "_take_verdict",
+                            staticmethod(lambda verdicts, start, end: None))
+        wave = _plan("xarm7", "v4", samples=300, obstacles=24, wave_width=8)
+        scalar = _plan("xarm7", "v4", samples=300, obstacles=24,
+                       speculation_depth=8)
+        _assert_bit_identical(wave, scalar)
+
+    def test_extend_single_edge_checks_drop_below_a_quarter(self, monkeypatch):
+        """Counts, not time: _extend's one-at-a-time edge checks."""
+        calls = {"in_extend": False, "single": 0}
+        extend = RRTStarPlanner._extend
+        check = CollisionChecker.motion_in_collision
+
+        def counting_extend(self, *args, **kwargs):
+            calls["in_extend"] = True
+            try:
+                return extend(self, *args, **kwargs)
+            finally:
+                calls["in_extend"] = False
+
+        def counting_check(self, *args, **kwargs):
+            calls["single"] += calls["in_extend"]
+            return check(self, *args, **kwargs)
+
+        monkeypatch.setattr(RRTStarPlanner, "_extend", counting_extend)
+        monkeypatch.setattr(CollisionChecker, "motion_in_collision", counting_check)
+        _plan("xarm7", "v4", samples=300, obstacles=24, speculation_depth=8)
+        scalar_checks = calls["single"]
+        calls["single"] = 0
+        _plan("xarm7", "v4", samples=300, obstacles=24, wave_width=8)
+        assert scalar_checks > 40
+        assert calls["single"] < scalar_checks / 4
 
 
 class TestWaveRepairProperty:

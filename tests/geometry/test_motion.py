@@ -103,6 +103,12 @@ class TestInterpolateEdges:
             block = configs[offsets[e]:offsets[e + 1]]
             assert np.array_equal(block, expected)
 
+    def test_single_edge_matches_ladder_bitwise(self):
+        start, end = np.array([0.3, -1.2, 2.0]), np.array([0.9, -0.7, 1.1])
+        configs, offsets = interpolate_edges(start[None], end[None], resolution=0.11)
+        assert list(offsets) == [0, len(configs)]
+        assert np.array_equal(configs, interpolate_configs(start, end, resolution=0.11))
+
     def test_empty_batch(self):
         configs, offsets = interpolate_edges(
             np.empty((0, 4)), np.empty((0, 4)), resolution=0.5

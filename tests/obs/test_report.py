@@ -6,7 +6,7 @@ import pytest
 
 from repro.obs.__main__ import main as obs_main
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import build_report, report_from_files
+from repro.obs.report import build_report, render_report, report_from_files
 from repro.obs.trace import Tracer
 from tests.obs.test_trace import FakeClock
 
@@ -161,16 +161,17 @@ class TestCacheSection:
         try:
             task = random_task("mobile2d", 12, seed=6)
             config = config_for_variant("v1", max_samples=80, seed=6,
-                                        wave_width=8)
+                                        wave_width=8, edge_cache=4096)
             plan(get_robot("mobile2d"), task, config)
             path = tmp_path / "run.prom"
             obs.get_registry().export(path)
         finally:
             obs.restore(previous)
         report = report_from_files(metrics=str(path))
-        # The wavefront planner validates edges whole, so its cache traffic
-        # lands on the whole-edge cache (the per-configuration cache still
-        # serves the config_results entry point).
+        # The wavefront planner validates edges whole, so with the
+        # whole-edge cache enabled explicitly (auto leaves it off) its cache
+        # traffic lands there (the per-configuration cache still serves the
+        # config_results entry point).
         edge = report["caches"]["edge"]
         assert edge["hit"] + edge["miss"] > 0
         assert 0.0 <= edge["hit_rate"] <= 1.0
@@ -179,3 +180,8 @@ class TestCacheSection:
         assert validation["by_path"].get("edge_kernel", 0) > 0
         assert validation["ladders_observed"] > 0
         assert validation["ladder_steps_mean"] > 1.0
+        # Wave-batched choose-parent/rewire edges are accounted per outcome.
+        extend = validation["extend_edges"]
+        assert extend.get("replayed", 0) > 0
+        assert set(extend) <= {"replayed", "fallback", "unused"}
+        assert "extend edges: replayed" in render_report(report)
