@@ -25,11 +25,9 @@ import numpy as np
 from repro.core.collision import make_checker
 from repro.core.config import moped_config
 from repro.core.connect import RRTConnectPlanner
-from repro.core.counters import OpCounter
 from repro.core.metrics import wave_occupancy
 from repro.core.robots import get_robot
 from repro.core.rrtstar import RRTStarPlanner, plan
-from repro.geometry.motion import interpolate_configs
 from repro.geometry.rotations import random_rotation_2d, random_rotation_3d
 from repro.kernels import batch, reference
 from repro.workloads.generator import random_task
@@ -316,13 +314,13 @@ def bench_wave(quick: bool = False, seed: int = 3, wave_width: int = 8) -> List[
             planner = RRTStarPlanner(robot, task, config)
             t0 = time.perf_counter()
             result = planner.plan()
-            return time.perf_counter() - t0, result, planner
+            return time.perf_counter() - t0, result
 
         # Correctness gate first: a perf number for a diverged run is
         # meaningless.  This is also the bench's speculation_depth > 0
         # coverage — the scalar speculative planner runs here every time.
-        _, spec_result, _ = run(1, wave_width)
-        _, wave_result, wave_planner = run(wave_width, 0)
+        _, spec_result = run(1, wave_width)
+        _, wave_result = run(wave_width, 0)
         reason = _plans_equal(wave_result, spec_result)
         if reason is not None:
             raise AssertionError(
@@ -332,11 +330,11 @@ def bench_wave(quick: bool = False, seed: int = 3, wave_width: int = 8) -> List[
 
         times: Dict[str, List[float]] = {"scalar": [], "spec": [], "wave": []}
         for _ in range(reps):
-            dt, _, _ = run(1, 0)
+            dt, _ = run(1, 0)
             times["scalar"].append(dt)
-            dt, _, _ = run(1, wave_width)
+            dt, _ = run(1, wave_width)
             times["spec"].append(dt)
-            dt, wave_result, wave_planner = run(wave_width, 0)
+            dt, wave_result = run(wave_width, 0)
             times["wave"].append(dt)
         scalar_s = statistics.median(times["scalar"])
         spec_s = statistics.median(times["spec"])
@@ -355,7 +353,6 @@ def bench_wave(quick: bool = False, seed: int = 3, wave_width: int = 8) -> List[
                 "speedup_vs_scalar": scalar_s / wave_s,
                 "speedup_vs_spec": spec_s / wave_s,
                 "wave_occupancy": wave_occupancy(wave_result.rounds),
-                "cache": wave_planner.cache_stats(),
                 "path_cost": wave_result.path_cost,
                 "num_nodes": wave_result.num_nodes,
                 "equivalent": True,
@@ -368,10 +365,8 @@ def bench_wave(quick: bool = False, seed: int = 3, wave_width: int = 8) -> List[
 
 
 #: Whole-edge suite points: (label, robot, obstacles, checker).  Arm robots
-#: only — the acceptance gate tracks the brute-OBB cases, where the stacked
-#: edge kernels with the conservative AABB broadphase amortize best; the
-#: two-stage case is reported for transparency (its per-configuration
-#: baseline already funnels the exact SAT, so the margin is narrower).
+#: only: the brute-OBB cases, where the stacked edge kernels with the
+#: conservative AABB broadphase amortize best, and the two-stage funnel.
 EDGE_SUITE = (
     ("rozum/24obs/obb", "rozum", 24, "obb"),
     ("xarm7/24obs/obb", "xarm7", 24, "obb"),
@@ -401,25 +396,15 @@ def _edge_batch(robot, rng: np.random.Generator, count: int):
 
 
 def bench_edge(quick: bool = False, seed: int = 11) -> List[Dict]:
-    """Time whole-edge validation against the per-configuration wave path.
+    """Time whole-edge validation, gated on the scalar reference.
 
-    For every suite case three implementations process the same
-    ``EDGE_COUNT`` random movements in waves of ``EDGE_WAVE_WIDTH``:
-
-    * **pr4** — the previous wave backend: one interpolation ladder per
-      edge, a single per-configuration ``config_results`` kernel pass over
-      the wave's concatenated waypoints, then the scalar early-exit replay
-      per edge;
-    * **edge** — :meth:`~repro.core.collision.CollisionChecker.
-      motion_results_batch`: the stacked whole-edge kernels behind one FK
-      batch and the conservative AABB broadphase;
-    * **scalar** — the reference backend's per-configuration walk, the
-      golden semantics (correctness only, never timed).
-
-    All three must agree on every verdict and every captured
-    :class:`OpCounter` before any time is reported.  A fourth measurement
-    replays the same waves through a warm whole-edge cache — the wavefront
-    planner's steady state for repeated rewire candidates.
+    For every suite case :meth:`~repro.core.collision.CollisionChecker.
+    motion_results_batch` — the stacked whole-edge kernels behind one FK
+    batch and the conservative AABB broadphase — validates the same
+    ``EDGE_COUNT`` random movements in waves of ``EDGE_WAVE_WIDTH``.  The
+    reference backend's per-configuration walk (the golden semantics,
+    never timed) must agree on every verdict and every captured
+    :class:`~repro.core.counters.OpCounter` before any time is reported.
     """
     reps = 3 if quick else 7
     records: List[Dict] = []
@@ -438,25 +423,6 @@ def bench_edge(quick: bool = False, seed: int = 11) -> List[Dict]:
             checker_name, robot, env, resolution, kernels="reference"
         )
 
-        def run_pr4(target=checker):
-            out = []
-            for wave_starts, wave_ends in waves:
-                ladders = [
-                    interpolate_configs(s, e, resolution)
-                    for s, e in zip(wave_starts, wave_ends)
-                ]
-                verdicts, events = target.config_results(np.concatenate(ladders))
-                pos = 0
-                for ladder in ladders:
-                    span = len(ladder)
-                    captured = OpCounter()
-                    verdict = target._replay_config_results(
-                        verdicts[pos:pos + span], events[pos:pos + span], captured
-                    )
-                    out.append((verdict, captured))
-                    pos += span
-            return out
-
         def run_edge(target=checker):
             out = []
             for wave_starts, wave_ends in waves:
@@ -464,27 +430,15 @@ def bench_edge(quick: bool = False, seed: int = 11) -> List[Dict]:
             return out
 
         # Correctness gate first: a perf number for a diverged run is
-        # meaningless.  Verdicts and captured counters of all three
-        # implementations must match movement for movement.
-        pr4_results = run_pr4()
-        edge_results = run_edge()
-        golden_results = run_edge(golden)
-        for e, (a, b, c) in enumerate(
-            zip(pr4_results, edge_results, golden_results)
-        ):
-            if not (a[0] == b[0] == c[0]):
+        # meaningless.  Verdicts and captured counters must match the
+        # reference movement for movement.
+        for e, (a, b) in enumerate(zip(run_edge(), run_edge(golden))):
+            if a[0] != b[0]:
                 raise AssertionError(f"{label}: verdicts diverged at edge {e}")
-            if not (a[1].to_dict() == b[1].to_dict() == c[1].to_dict()):
+            if a[1].to_dict() != b[1].to_dict():
                 raise AssertionError(f"{label}: counters diverged at edge {e}")
 
-        pr4_s = _time(run_pr4, reps)
         edge_s = _time(run_edge, reps)
-        cached = make_checker(
-            checker_name, robot, env, resolution, edge_cache_size=4096
-        )
-        run_edge(cached)  # prime the whole-edge cache
-        cached_s = _time(lambda: run_edge(cached), reps)
-
         records.append(
             {
                 "case": label,
@@ -493,16 +447,8 @@ def bench_edge(quick: bool = False, seed: int = 11) -> List[Dict]:
                 "checker": checker_name,
                 "wave_width": EDGE_WAVE_WIDTH,
                 "edges": EDGE_COUNT,
-                "pr4_s": pr4_s,
                 "edge_s": edge_s,
-                "cached_s": cached_s,
-                "pr4_us_per_edge": pr4_s / EDGE_COUNT * 1e6,
                 "edge_us_per_edge": edge_s / EDGE_COUNT * 1e6,
-                "cached_us_per_edge": cached_s / EDGE_COUNT * 1e6,
-                "speedup": pr4_s / edge_s if edge_s > 0 else float("inf"),
-                "cached_speedup": (
-                    pr4_s / cached_s if cached_s > 0 else float("inf")
-                ),
                 "equivalent": True,
             }
         )
@@ -560,7 +506,7 @@ def bench_connect(
             planner = RRTConnectPlanner(robot, task, config)
             t0 = time.perf_counter()
             result = planner.plan()
-            return time.perf_counter() - t0, result, planner
+            return time.perf_counter() - t0, result
 
         def run_rrtstar():
             config = moped_config(
@@ -570,19 +516,19 @@ def bench_connect(
             planner = RRTStarPlanner(robot, task, config)
             t0 = time.perf_counter()
             result = planner.plan()
-            return time.perf_counter() - t0, result, planner
+            return time.perf_counter() - t0, result
 
         # Correctness gates: wave-width invariance, repeat determinism,
         # and feasibility on both sides.  A perf number for a diverged or
         # failed run is meaningless.
-        _, scalar_result, _ = run_connect(1)
-        _, wave_result, _ = run_connect(wave_width)
+        _, scalar_result = run_connect(1)
+        _, wave_result = run_connect(wave_width)
         reason = _plans_equal(wave_result, scalar_result)
         if reason is not None:
             raise AssertionError(
                 f"{label}: connect W={wave_width} diverged from W=1: {reason}"
             )
-        _, repeat_result, _ = run_connect(wave_width)
+        _, repeat_result = run_connect(wave_width)
         reason = _plans_equal(repeat_result, wave_result)
         if reason is not None:
             raise AssertionError(
@@ -594,11 +540,10 @@ def bench_connect(
 
         times: Dict[str, List[float]] = {"connect": [], "rrtstar": []}
         star_result = None
-        connect_planner = None
         for _ in range(reps):
-            dt, _, connect_planner = run_connect(wave_width)
+            dt, _ = run_connect(wave_width)
             times["connect"].append(dt)
-            dt, star_result, _ = run_rrtstar()
+            dt, star_result = run_rrtstar()
             times["rrtstar"].append(dt)
         if not star_result.success:
             raise AssertionError(f"{label}: wave RRT* baseline found no path")
@@ -619,7 +564,6 @@ def bench_connect(
                 "connect_iterations": wave_result.iterations,
                 "rrtstar_iterations": star_result.iterations,
                 "connect_nodes": wave_result.num_nodes,
-                "cache": connect_planner.cache_stats(),
                 "equivalent": True,
             }
         )

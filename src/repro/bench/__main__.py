@@ -110,26 +110,18 @@ def main(argv=None) -> int:
             f"speedup={entry['speedup']:.2f}x  (bit-identical: {entry['equivalent']})"
         )
     for entry in report["wave"]:
-        caches = entry.get("cache") or {}
-        rates = " ".join(
-            f"{name}={stats.get('hit_rate', 0.0):.2f}"
-            for name, stats in sorted(caches.items())
-        )
         print(
             f"  wave   {entry['case']:22s} W={entry['wave_width']:<3d} "
             f"scalar={entry['scalar_s']:.3f}s wave={entry['wave_s']:.3f}s  "
             f"speedup={entry['speedup_vs_scalar']:.2f}x  "
             f"occ={entry['wave_occupancy']:.2f}  "
-            f"cache-hit[{rates}]  (bit-identical: {entry['equivalent']})"
+            f"(bit-identical: {entry['equivalent']})"
         )
 
     for entry in report.get("edge", []):
         print(
             f"  edge   {entry['case']:22s} W={entry['wave_width']:<3d} "
-            f"pr4={entry['pr4_us_per_edge']:7.1f}us/edge "
-            f"edge={entry['edge_us_per_edge']:6.1f}us/edge "
-            f"cached={entry['cached_us_per_edge']:5.1f}us/edge  "
-            f"speedup={entry['speedup']:.2f}x  "
+            f"edge={entry['edge_us_per_edge']:6.1f}us/edge  "
             f"(bit-identical: {entry['equivalent']})"
         )
 

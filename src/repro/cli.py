@@ -221,14 +221,8 @@ def main(argv: Optional[list] = None) -> int:
               + (f", {gap:.2f} from goal" if gap is not None else ""))
     if args.wave > 1:
         occupancy = result.brief().get("wave_occupancy")
-        caches = planner.cache_stats()
-        rates = " ".join(
-            f"{name}:{stats['hits']}/{stats['hits'] + stats['misses']}"
-            for name, stats in sorted(caches.items())
-        )
         print(f"wave: width={args.wave} occupancy="
-              f"{occupancy if occupancy is None else round(occupancy, 3)}"
-              + (f" cache-hits {rates}" if rates else ""))
+              f"{occupancy if occupancy is None else round(occupancy, 3)}")
 
     if args.smooth and result.success:
         from repro.core.collision import BruteOBBChecker

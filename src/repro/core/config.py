@@ -28,7 +28,7 @@ class PlannerConfig:
             connect, stops at the first bridge).  Connect is a feasibility
             planner: ``rewire``, ``goal_bias``, ``stop_on_goal`` and
             ``informed`` do not apply (``informed=True`` is rejected), and
-            every other knob — checker, kernels, neighbor strategy, caches,
+            every other knob — checker, kernels, neighbor strategy,
             ``wave_width``, deadline/op budgets — behaves identically.
         max_samples: sampling budget (the paper evaluates at 5 000).
         goal_bias: probability of sampling the goal configuration.
@@ -74,23 +74,6 @@ class PlannerConfig:
             ``speculation_depth == 0`` (the wave implies its own depth) and
             ``informed = False`` (informed sampling is sequential by
             construction).
-        collision_cache: capacity of the quantized-configuration collision
-            result cache (Section IV-C multi-level caching, in software).
-            ``None`` (default) auto-enables 4096 entries when
-            ``wave_width > 1`` and disables otherwise; 0 disables.
-        neighborhood_cache: capacity of the reused-neighborhood cache inside
-            the SI-MBR-Tree (leaf-scope ``leaf_siblings`` results).  Same
-            ``None``/0 convention as ``collision_cache`` (auto = 1024).
-        edge_cache: capacity of the whole-edge collision-result cache —
-            keyed on both endpoint configurations, a hit replays the stored
-            verdict and counter events and skips ladder construction, FK,
-            and the SAT kernels entirely.  ``None`` (default, auto) and 0
-            disable it; a positive capacity enables it at any wave width.
-        cache_quantum: configuration-space quantisation step for collision
-            cache keys.  0.0 (default) keys on exact float bytes, which
-            preserves bit-identical planning; > 0 trades exactness for a
-            higher hit rate (a documented approximation — keep it 0 for
-            equivalence checks).
         sampler: ``"numpy"`` | ``"lfsr"``.
         informed: wrap the sampler with Informed-RRT\\* prolate-hyperspheroid
             sampling once a first solution is found (the [22] variant the
@@ -131,10 +114,6 @@ class PlannerConfig:
     kd_rebuild_every: Optional[int] = None
     speculation_depth: int = 0
     wave_width: int = 1
-    collision_cache: Optional[int] = None
-    neighborhood_cache: Optional[int] = None
-    edge_cache: Optional[int] = None
-    cache_quantum: float = 0.0
     sampler: str = "numpy"
     informed: bool = False
     seed: int = 0
@@ -173,14 +152,6 @@ class PlannerConfig:
                 "wave_width > 1 is incompatible with informed sampling "
                 "(the wave draws all samples before any commit)"
             )
-        if self.collision_cache is not None and self.collision_cache < 0:
-            raise ValueError("collision_cache must be >= 0 (or None for auto)")
-        if self.neighborhood_cache is not None and self.neighborhood_cache < 0:
-            raise ValueError("neighborhood_cache must be >= 0 (or None for auto)")
-        if self.edge_cache is not None and self.edge_cache < 0:
-            raise ValueError("edge_cache must be >= 0 (or None for auto)")
-        if self.cache_quantum < 0:
-            raise ValueError("cache_quantum must be >= 0")
         if self.kernels not in ("batch", "reference"):
             raise ValueError(
                 f"kernels must be 'batch' or 'reference', got {self.kernels!r}"
@@ -205,27 +176,6 @@ class PlannerConfig:
         if self.goal_tolerance is not None:
             return self.goal_tolerance
         return self.resolved_step(robot_step)
-
-    def resolved_collision_cache(self) -> int:
-        """Collision-cache capacity after the auto rule (0 = disabled)."""
-        if self.collision_cache is not None:
-            return self.collision_cache
-        return 4096 if self.wave_width > 1 else 0
-
-    def resolved_neighborhood_cache(self) -> int:
-        """Neighborhood-cache capacity after the auto rule (0 = disabled)."""
-        if self.neighborhood_cache is not None:
-            return self.neighborhood_cache
-        return 1024 if self.wave_width > 1 else 0
-
-    def resolved_edge_cache(self) -> int:
-        """Whole-edge cache capacity after the auto rule (0 = disabled).
-
-        Auto is off at every wave width: planner edges almost never repeat,
-        and the wavefront's per-wave verdict map already replays each
-        batched edge once.
-        """
-        return self.edge_cache if self.edge_cache is not None else 0
 
     def neighbor_radius(self, n: int, dim: int, step: float) -> float:
         """Shrinking RRT\\* neighborhood radius at tree size ``n``.

@@ -7,7 +7,7 @@ optimisations (two-stage collision checking, SI-MBR-Tree search, O(1)
 insertion) apply per tree unchanged, which is the paper's claim that its
 techniques transfer across the whole RRT family.  This implementation
 shares the full PR 3-8 machinery with the RRT\\* loop — batch collision
-kernels, collision/neighborhood/edge caches, whole-edge
+kernels, whole-edge
 :meth:`~repro.core.collision.CollisionChecker.motion_results_batch`
 validation, the PR 5 deadline / op-budget anytime plumbing, and
 cooperative cancellation for portfolio racing — so ablations compose and
@@ -94,14 +94,6 @@ class RRTConnectPlanner:
         checker_kwargs = {"kernels": config.kernels}
         if config.checker == "two_stage":
             checker_kwargs["fine_stage"] = config.fine_stage
-        cache_size = config.resolved_collision_cache()
-        if cache_size:
-            checker_kwargs["cache_size"] = cache_size
-            checker_kwargs["cache_quantum"] = config.cache_quantum
-        edge_cache_size = config.resolved_edge_cache()
-        if edge_cache_size:
-            checker_kwargs["edge_cache_size"] = edge_cache_size
-            checker_kwargs.setdefault("cache_quantum", config.cache_quantum)
         self.checker = make_checker(
             config.checker, robot, task.environment, resolution, **checker_kwargs
         )
@@ -115,7 +107,6 @@ class RRTConnectPlanner:
                 capacity=config.simbr_capacity,
                 kd_rebuild_every=config.kd_rebuild_every,
                 approx_scope=config.approx_scope,
-                neighborhood_cache=config.resolved_neighborhood_cache(),
             )
 
         self.strategies = (new_strategy(), new_strategy())
@@ -563,18 +554,9 @@ class RRTConnectPlanner:
         )
 
     def cache_stats(self) -> dict:
-        """Hit/miss statistics of the software caches (empty when disabled)."""
-        stats = {}
-        if self.checker.config_cache is not None:
-            stats["collision"] = self.checker.config_cache.stats()
-        if self.checker.edge_cache is not None:
-            stats["edge"] = self.checker.edge_cache.stats()
-        for side, strategy in enumerate(self.strategies):
-            index = getattr(strategy, "tree", None)
-            cache = getattr(index, "neighborhood_cache", None)
-            if cache is not None:
-                stats[f"neighborhood{side}"] = cache.stats()
-        return stats
+        """Per-cache hit/miss statistics: always empty, the planner keeps no
+        result caches."""
+        return {}
 
     def _record_run_metrics(self, obs, result, counter, elapsed_s: float) -> None:
         registry = obs.registry

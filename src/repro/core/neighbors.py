@@ -165,8 +165,6 @@ class SIMBRStrategy(NeighborStrategy):
             better path quality in low-dimensional spaces.
         capacity: leaf/node fanout; bounds the approximated neighborhood at
             ``capacity`` (leaf scope) or ``capacity**2`` (parent scope).
-        neighborhood_cache: capacity of the SI-MBR-Tree's reused-neighborhood
-            cache (0 disables; see :class:`repro.spatial.simbr.SIMBRTree`).
     """
 
     def __init__(
@@ -176,11 +174,8 @@ class SIMBRStrategy(NeighborStrategy):
         approx_neighborhood: bool = True,
         capacity: int = 8,
         approx_scope: str = "leaf",
-        neighborhood_cache: int = 0,
     ):
-        self._tree = SIMBRTree(
-            dim, capacity=capacity, neighborhood_cache=neighborhood_cache
-        )
+        self._tree = SIMBRTree(dim, capacity=capacity)
         self.steering_insert = steering_insert
         self.approx_neighborhood = approx_neighborhood
         self.approx_scope = approx_scope
@@ -237,7 +232,6 @@ def make_strategy(
     capacity: int = 8,
     kd_rebuild_every: Optional[int] = None,
     approx_scope: str = "leaf",
-    neighborhood_cache: int = 0,
 ) -> NeighborStrategy:
     """Factory over the strategy registry."""
     if name == "brute":
@@ -251,6 +245,5 @@ def make_strategy(
             approx_neighborhood=approx_neighborhood,
             capacity=capacity,
             approx_scope=approx_scope,
-            neighborhood_cache=neighborhood_cache,
         )
     raise KeyError(f"unknown neighbor strategy {name!r}; available: brute, kd, simbr")

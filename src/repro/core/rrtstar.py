@@ -129,14 +129,6 @@ class RRTStarPlanner:
         checker_kwargs = {"kernels": config.kernels}
         if config.checker == "two_stage":
             checker_kwargs["fine_stage"] = config.fine_stage
-        cache_size = config.resolved_collision_cache()
-        if cache_size:
-            checker_kwargs["cache_size"] = cache_size
-            checker_kwargs["cache_quantum"] = config.cache_quantum
-        edge_cache_size = config.resolved_edge_cache()
-        if edge_cache_size:
-            checker_kwargs["edge_cache_size"] = edge_cache_size
-            checker_kwargs.setdefault("cache_quantum", config.cache_quantum)
         self.checker = make_checker(
             config.checker, robot, task.environment, resolution, **checker_kwargs
         )
@@ -148,7 +140,6 @@ class RRTStarPlanner:
             capacity=config.simbr_capacity,
             kd_rebuild_every=config.kd_rebuild_every,
             approx_scope=config.approx_scope,
-            neighborhood_cache=config.resolved_neighborhood_cache(),
         )
         sampler_cls = {"numpy": NumpySampler, "lfsr": LFSRSampler}.get(config.sampler)
         if sampler_cls is None:
@@ -710,17 +701,9 @@ class RRTStarPlanner:
                 self.sampler.update_best_cost(best)
 
     def cache_stats(self) -> dict:
-        """Hit/miss statistics of the software caches (empty when disabled)."""
-        stats = {}
-        if self.checker.config_cache is not None:
-            stats["collision"] = self.checker.config_cache.stats()
-        if self.checker.edge_cache is not None:
-            stats["edge"] = self.checker.edge_cache.stats()
-        index = getattr(self.strategy, "tree", None)
-        cache = getattr(index, "neighborhood_cache", None)
-        if cache is not None:
-            stats["neighborhood"] = cache.stats()
-        return stats
+        """Per-cache hit/miss statistics: always empty, the planner keeps no
+        result caches."""
+        return {}
 
     def _record_run_metrics(self, obs, result, counter, elapsed_s: float) -> None:
         """Run-level metrics: plan count/latency and Fig-3 MAC categories."""

@@ -233,8 +233,6 @@ def records_from_bench(payload: Dict) -> List[DimensionalRecord]:
         out.append(DimensionalRecord(attrs, {
             "time_s": float(row["edge_s"]),
             "edge_s": float(row["edge_s"]),
-            "pr4_s": float(row["pr4_s"]),
-            "cached_s": float(row["cached_s"]),
         }))
     return out
 

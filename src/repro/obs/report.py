@@ -125,12 +125,9 @@ def build_report(
             }
         )
 
-    # Software-cache effectiveness (collision-result and reused-neighborhood
-    # caches, plus the request-level plan cache as ``plan`` and the
-    # network shard tier as ``plan_shard``): fold the (cache, event) series
-    # into per-cache hit/miss/evict totals.  These count *executed* work —
-    # OpCounters keep reporting the modeled cost — so the hit rate here is
-    # exactly the work the caches saved the host.
+    # Software-cache effectiveness (the request-level plan cache as
+    # ``plan`` and the network shard tier as ``plan_shard``): fold the
+    # (cache, event) series into per-cache hit/miss/evict totals.
     caches: Dict[str, Dict[str, float]] = {}
     for labels, value in metrics.get("repro_cache_events_total", []):
         name = labels.get("cache")
@@ -144,7 +141,7 @@ def build_report(
         entry["hit_rate"] = (entry["hit"] / lookups) if lookups else 0.0
 
     # Whole-edge validation: motion queries, which execution path served
-    # them (edge_kernel / scalar / cache), the wavefront's batched
+    # them (edge_kernel / scalar), the wavefront's batched
     # choose-parent/rewire edges by commit outcome (replayed / fallback /
     # unused), and the mean interpolation-ladder length from the per-edge
     # histogram.

@@ -12,8 +12,7 @@ it is given.
 
 Hit/miss/evict events are also bumped into ``repro_cache_events_total``
 (label ``cache="plan"``) when the metrics registry is on, so the plan
-cache appears in the ``repro.obs report`` software-cache table through
-the same path as the collision-result and neighborhood caches — and as
+cache appears in the ``repro.obs report`` software-cache table, as does
 the sharded tier, which reports under ``cache="plan_shard"``.
 """
 

@@ -31,9 +31,7 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.lru import LRUMap
 from repro.geometry.aabb import AABB
-from repro.obs import bump
 
 
 def _mindist_sq(query: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
@@ -74,26 +72,15 @@ class SIMBRTree:
         capacity: maximum entries per leaf and children per internal node.
             The paper's approximated neighborhood is the leaf population, so
             ``capacity`` doubles as the neighborhood size bound.
-        neighborhood_cache: capacity of the reused-neighborhood cache (the
-            Section IV-C software cache level over ``leaf_siblings``).  A
-            leaf-scope sibling list is keyed by ``(leaf uid, entry count)``,
-            so any structural change to the leaf — appends and splits alike
-            — produces a fresh key and a miss; stale lists are never served.
-            0 (default) disables.
     """
 
-    def __init__(self, dim: int, capacity: int = 8, neighborhood_cache: int = 0):
+    def __init__(self, dim: int, capacity: int = 8):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         if capacity < 2:
             raise ValueError("capacity must be >= 2")
-        if neighborhood_cache < 0:
-            raise ValueError("neighborhood_cache must be >= 0")
         self.dim = dim
         self.capacity = capacity
-        self.neighborhood_cache = (
-            LRUMap(neighborhood_cache) if neighborhood_cache > 0 else None
-        )
         self._root: Optional[_Node] = None
         self._leaf_of: Dict[Hashable, _Node] = {}
         self._points: Dict[Hashable, np.ndarray] = {}
@@ -394,28 +381,6 @@ class SIMBRTree:
             counter.record("buffer_read", dim=self.dim)
         leaf = self._leaf_of[key]
         if scope == "leaf" or leaf.parent is None:
-            cache = self.neighborhood_cache
-            if cache is not None:
-                # Splits mint fresh uids and entry lists are append-only, so
-                # (uid, entry count) uniquely identifies a leaf state.
-                cache_key = (leaf.uid, len(leaf.entries))
-                cached = cache.get(cache_key)
-                if cached is not None:
-                    bump("repro_cache_events_total", cache="neighborhood",
-                         event="hit",
-                         help="Software cache events by cache and outcome")
-                    return list(cached)
-                siblings = [(k, p) for k, p in leaf.entries]
-                evictions_before = cache.evictions
-                cache.put(cache_key, tuple(siblings))
-                bump("repro_cache_events_total", cache="neighborhood",
-                     event="miss",
-                     help="Software cache events by cache and outcome")
-                if cache.evictions > evictions_before:
-                    bump("repro_cache_events_total", cache="neighborhood",
-                         event="evict",
-                         help="Software cache events by cache and outcome")
-                return siblings
             return [(k, p) for k, p in leaf.entries]
         out = []
         radius_sq = radius * radius if radius is not None else None

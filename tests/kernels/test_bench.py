@@ -154,7 +154,6 @@ def wave_entry(case="mobile2d/32obs/v1-norewire", wave_width=8,
         "speedup_vs_scalar": scalar_s / wave_s,
         "speedup_vs_spec": scalar_s * 1.05 / wave_s,
         "wave_occupancy": 0.95,
-        "cache": {},
         "path_cost": 1.0,
         "num_nodes": 100,
         "equivalent": True,

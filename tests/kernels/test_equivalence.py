@@ -9,12 +9,15 @@ the batch path replays the scalar control flow over its precomputed masks.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.collision import make_checker
 from repro.core.config import PlannerConfig, baseline_config, moped_config
 from repro.core.counters import OpCounter
 from repro.core.robots import get_robot
 from repro.core.rrtstar import plan
+from repro.geometry.motion import interpolate_configs
 from repro.workloads.generator import random_task
 
 CHECKERS = ["obb", "aabb", "two_stage", "grid"]
@@ -78,6 +81,92 @@ class TestCheckerEquivalence:
         assert fast.config_in_collision(config, counter=c_fast) == \
             gold.config_in_collision(config, counter=c_gold)
         assert c_fast.to_dict() == c_gold.to_dict()
+
+
+#: Every checker variant of the unified block walk: (checker, kwargs).
+UNIFIED_CASES = [
+    ("obb", {}),
+    ("aabb", {}),
+    ("two_stage", {}),
+    ("two_stage", {"fine_stage": False}),
+    ("grid", {}),
+]
+UNIFIED_IDS = ["obb", "aabb", "two_stage", "two_stage-coarse", "grid"]
+
+
+def _unit_rows(n_min, n_max):
+    """Lists of 1..n configuration rows as unit-cube coordinates."""
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    return st.integers(n_min, n_max).flatmap(
+        lambda n: st.lists(st.lists(unit, min_size=8, max_size=8),
+                           min_size=n, max_size=n)
+    )
+
+
+def _scale(robot, rows):
+    """Map unit-cube rows into the robot's configuration bounds."""
+    u = np.asarray(rows, dtype=float)[:, : robot.dof]
+    return robot.config_lo + u * (robot.config_hi - robot.config_lo)
+
+
+@pytest.mark.parametrize("robot_name", ["mobile2d", "rozum"])
+@pytest.mark.parametrize("obstacles", [0, 24])
+@pytest.mark.parametrize("checker,kwargs", UNIFIED_CASES, ids=UNIFIED_IDS)
+class TestUnifiedValidationPath:
+    """Per-configuration queries and movements share one block walk.
+
+    ``config_results`` checks every row as a block of its own, so its rows
+    must equal the reference backend's per-configuration verdicts and
+    events; and an interpolated ladder's rows, merged up to the first hit,
+    must equal what ``motion_in_collision`` records for that movement.
+    """
+
+    def test_config_results_rows_match_reference(
+        self, checker, kwargs, obstacles, robot_name
+    ):
+        task = random_task(robot_name, obstacles, seed=14)
+        robot, fast, gold = checker_pair(task, checker, **kwargs)
+
+        @settings(max_examples=10, deadline=None)
+        @given(rows=_unit_rows(1, 6))
+        def check(rows):
+            configs = _scale(robot, rows)
+            results = fast.config_results(configs)
+            assert len(results) == len(configs)
+            for config, (verdict, events) in zip(configs, results):
+                want = OpCounter()
+                assert verdict == gold.config_in_collision(config, counter=want)
+                assert events.to_dict() == want.to_dict()
+
+        check()
+
+    def test_ladder_rows_merge_to_motion_events(
+        self, checker, kwargs, obstacles, robot_name
+    ):
+        task = random_task(robot_name, obstacles, seed=14)
+        robot, fast, _ = checker_pair(task, checker, **kwargs)
+
+        @settings(max_examples=10, deadline=None)
+        @given(rows=_unit_rows(2, 2), length=st.floats(0.0, 3.0))
+        def check(rows, length):
+            start, toward = _scale(robot, rows)
+            delta = toward - start
+            norm = float(np.linalg.norm(delta))
+            if norm > 1e-9:
+                delta *= length * robot.step_size / norm
+            end = robot.clip(start + delta)
+            ladder = interpolate_configs(start, end, fast.motion_resolution)
+            merged, blocked = OpCounter(), False
+            for verdict, events in fast.config_results(ladder):
+                merged.merge(events)
+                if verdict:
+                    blocked = True
+                    break
+            direct = OpCounter()
+            assert blocked == fast.motion_in_collision(start, end, counter=direct)
+            assert merged.to_dict() == direct.to_dict()
+
+        check()
 
 
 def run_pair(robot_name, num_obstacles, make_config, samples=150):

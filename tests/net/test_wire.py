@@ -97,6 +97,14 @@ class TestRequestWire(unittest.TestCase):
         with self.assertRaises(InvalidRequest):
             request_from_wire(_json_round_trip(full))
 
+    def test_removed_cache_knob_is_invalid(self):
+        # Planner result-cache knobs no longer exist; a client still sending
+        # one gets a 400, not a 5xx.
+        full = request_to_wire(spec_to_request(dict(SPEC)))
+        full["config"] = {"collision_cache": 4096}
+        with self.assertRaises(InvalidRequest):
+            request_from_wire(_json_round_trip(full))
+
 
 class TestResponseWire(unittest.TestCase):
     def _response_for(self, status):

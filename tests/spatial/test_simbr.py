@@ -279,46 +279,3 @@ def test_simbr_nearest_is_exact(n, seed, dim, steering):
     want = brute_nearest(points, q)
     assert got[2] == pytest.approx(want[2])
 
-
-class TestNeighborhoodCache:
-    """Reused-neighborhood cache: hits must equal fresh leaf reads."""
-
-    def _grown_tree(self, cache_capacity, n=60, seed=11):
-        tree = SIMBRTree(dim=2, capacity=4, neighborhood_cache=cache_capacity)
-        rng = np.random.default_rng(seed)
-        for i in range(n):
-            tree.insert(i, rng.uniform(0, 10, 2))
-        return tree
-
-    def test_cached_siblings_equal_fresh_read(self):
-        cached = self._grown_tree(cache_capacity=64)
-        plain = self._grown_tree(cache_capacity=0)
-        for key in range(60):
-            want = sorted((k, tuple(p)) for k, p in plain.leaf_siblings(key))
-            first = sorted((k, tuple(p)) for k, p in cached.leaf_siblings(key))
-            again = sorted((k, tuple(p)) for k, p in cached.leaf_siblings(key))
-            assert first == want
-            assert again == want
-        assert cached.neighborhood_cache.hits > 0
-
-    def test_insert_invalidates_stale_entry(self):
-        """A leaf's cache key changes when its population changes."""
-        tree = SIMBRTree(dim=2, capacity=8, neighborhood_cache=64)
-        tree.insert(0, np.array([1.0, 1.0]))
-        before = {k for k, _ in tree.leaf_siblings(0)}
-        assert before == {0}
-        tree.insert(1, np.array([1.1, 1.1]), sibling_of=0)
-        after = {k for k, _ in tree.leaf_siblings(0)}
-        assert after == {0, 1}
-
-    def test_disabled_cache_has_no_map(self):
-        tree = self._grown_tree(cache_capacity=0)
-        assert tree.neighborhood_cache is None
-
-    def test_hit_returns_a_copy(self):
-        """Callers may mutate the returned list without corrupting the cache."""
-        tree = self._grown_tree(cache_capacity=64)
-        first = tree.leaf_siblings(5)
-        first.clear()
-        again = tree.leaf_siblings(5)
-        assert len(again) > 0
