@@ -142,10 +142,12 @@ def bench_kernels(quick: bool = False, seed: int = 0) -> List[Dict]:
     """Time every batch kernel against its scalar golden twin.
 
     Each case first asserts the two backends return identical values, then
-    reports best-of-N wall times and the speedup.
+    reports best-of-N wall times and the speedup.  N is 7 in both modes:
+    the kernels take tens to hundreds of microseconds, and a quick run is
+    gated against full-mode baselines, so it must time them as those were.
     """
     rng = np.random.default_rng(seed)
-    repeats = 3 if quick else 7
+    repeats = 7
     records: List[Dict] = []
     for case in _kernel_cases(quick, rng):
         fast = getattr(batch, case["kernel"])
@@ -287,14 +289,15 @@ def _plans_equal(a, b) -> Optional[str]:
 
 
 def bench_wave(quick: bool = False, seed: int = 3, wave_width: int = 8) -> List[Dict]:
-    """Time the wavefront planner against the scalar loop.
+    """Time multi-sample waves against one-sample waves.
 
-    For every suite case three configurations run: the plain scalar loop
-    (``speculation_depth = 0``, the PR 3 batch-backend semantics), the
-    scalar speculative loop at ``depth = wave_width``, and the wavefront
-    planner at ``wave_width``.  The wave run is asserted bit-identical to
-    the scalar speculative run — paths, costs, operation counters, and
-    per-round phase loads — before any time is reported.  Timings
+    For every suite case three configurations run: one-sample waves
+    without speculation (``scalar``), one-sample waves at
+    ``speculation_depth = wave_width`` (``scalar_spec``, where every edge
+    is checked directly), and waves of ``wave_width`` samples.  The wide
+    run is asserted bit-identical to the one-sample speculative run —
+    paths, costs, operation counters, and per-round phase loads — before
+    any time is reported.  Timings
     interleave the three configurations across repetitions and report
     medians, which suppresses machine drift better than best-of-N here
     (whole planner runs are long enough to be preempted).
@@ -318,14 +321,14 @@ def bench_wave(quick: bool = False, seed: int = 3, wave_width: int = 8) -> List[
 
         # Correctness gate first: a perf number for a diverged run is
         # meaningless.  This is also the bench's speculation_depth > 0
-        # coverage — the scalar speculative planner runs here every time.
+        # coverage: one-sample waves at depth W run here every time.
         _, spec_result = run(1, wave_width)
         _, wave_result = run(wave_width, 0)
         reason = _plans_equal(wave_result, spec_result)
         if reason is not None:
             raise AssertionError(
-                f"{label}: wave W={wave_width} diverged from scalar "
-                f"speculation_depth={wave_width}: {reason}"
+                f"{label}: wave W={wave_width} diverged from one-sample "
+                f"waves at speculation_depth={wave_width}: {reason}"
             )
 
         times: Dict[str, List[float]] = {"scalar": [], "spec": [], "wave": []}

@@ -57,7 +57,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="data-generation seed")
     parser.add_argument(
         "--wave", action="store_true",
-        help="also bench the wavefront planner (asserts wave/scalar bit-equality)",
+        help="also bench the wavefront planner (asserts bit-equality with "
+             "one-sample waves at the same speculation depth)",
     )
     parser.add_argument(
         "--wave-width", type=int, default=8,
@@ -65,8 +66,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--edge", action="store_true",
-        help="also bench whole-edge validation against the per-configuration "
-             "wave path (asserts verdict and counter bit-equality)",
+        help="also bench whole-edge validation (asserts verdict and counter "
+             "bit-equality with the reference kernels)",
     )
     parser.add_argument(
         "--connect", action="store_true",

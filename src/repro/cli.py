@@ -48,10 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default) or the scalar 'reference' baseline; "
                              "both give bit-identical plans")
     parser.add_argument("--wave", type=int, default=1, metavar="W",
-                        help="wavefront planner width: evaluate W samples per "
-                             "round through batched kernels; bit-identical to "
-                             "the scalar loop at speculation_depth=W "
-                             "(default: %(default)s = scalar loop)")
+                        help="wave width: draw W samples per wave and "
+                             "evaluate them through batched kernels; "
+                             "bit-identical to one-sample waves at "
+                             "speculation_depth=W (default: %(default)s, one "
+                             "sample per wave with direct edge checks)")
     parser.add_argument("--mode", default="rrtstar",
                         choices=("rrtstar", "connect"),
                         help="planning algorithm: optimizing RRT* (default) "

@@ -14,7 +14,6 @@ Public surface:
 
 from repro.core.config import PlannerConfig, baseline_config, moped_config
 from repro.core.counters import OpCounter, mac_cost
-from repro.core.batch import BatchRRTStarPlanner, multilane_latency_cycles
 from repro.core.connect import RRTConnectPlanner
 from repro.core.informed import InformedSampler
 from repro.core.quantization import (
@@ -41,11 +40,9 @@ from repro.core.world import Environment, PlanningTask
 __all__ = [
     "Environment",
     "ExpTree",
-    "BatchRRTStarPlanner",
     "InformedSampler",
     "Trajectory",
     "TrajectorySegment",
-    "multilane_latency_cycles",
     "time_parameterize",
     "RRTConnectPlanner",
     "QuantizingSampler",

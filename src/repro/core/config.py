@@ -64,13 +64,14 @@ class PlannerConfig:
             nearest-neighbor search for round *i* cannot see nodes inserted
             in the last ``depth`` rounds and repairs against the missing-
             neighbors buffer instead (Section IV-B).  0 disables.
-        wave_width: wavefront planner mode — each wave draws ``W`` samples
-            at once and runs speculative nearest/steer/collision for the
-            whole wave as batched kernel calls, then commits the samples in
+        wave_width: samples per wave of the run loop.  A wave of ``W > 1``
+            samples runs speculative nearest/steer/collision for the whole
+            wave as batched kernel calls, then commits the samples in
             order with the speculate-and-repair semantics of
             ``speculation_depth = W``.  Plans, costs, and operation counts
-            are bit-identical to the scalar planner at that depth.  1 (the
-            default) keeps the scalar loop; values > 1 require
+            are bit-identical to one-sample waves at that depth.  1 (the
+            default) draws one sample per wave and checks its edges
+            directly; values > 1 require
             ``speculation_depth == 0`` (the wave implies its own depth) and
             ``informed = False`` (informed sampling is sequential by
             construction).

@@ -6,11 +6,10 @@ planner tries to connect them after every extension.  MOPED's algorithmic
 optimisations (two-stage collision checking, SI-MBR-Tree search, O(1)
 insertion) apply per tree unchanged, which is the paper's claim that its
 techniques transfer across the whole RRT family.  This implementation
-shares the full PR 3-8 machinery with the RRT\\* loop — batch collision
-kernels, whole-edge
+shares the RRT\\* planner's scaffolding — batch collision kernels, whole-edge
 :meth:`~repro.core.collision.CollisionChecker.motion_results_batch`
-validation, the PR 5 deadline / op-budget anytime plumbing, and
-cooperative cancellation for portfolio racing — so ablations compose and
+validation, the deadline / op-budget anytime plumbing, and cooperative
+cancellation for portfolio racing — so ablations compose and
 ``PlannerConfig.mode = "connect"`` is a drop-in backend everywhere a
 planner runs.
 
@@ -24,25 +23,26 @@ Two mechanics matter for throughput:
 * **Greedy whole-segment connect.**  After each accepted extension the
   other tree extends greedily toward the new node.  The full segment is
   first validated as ONE whole edge (single ladder + FK batch + stacked
-  kernel pass, PR 8); only when that long edge is blocked does the loop
+  kernel pass); only when that long edge is blocked does the loop
   fall back to advancing chunk by chunk (``_CHUNK_STEPS`` steering steps
   per chunk, each chunk again a whole edge), keeping the free prefix.
   Compared to the classic one-steering-step-at-a-time loop this collapses
   up to hundreds of collision calls into a handful of batched ones and
   inserts far fewer tree nodes.
 
-* **Wavefront speculation** (``wave_width = W > 1``).  Each wave draws
-  ``W`` samples at once, speculates every sample's nearest neighbor from a
-  snapshot distance matrix of its (alternating) active tree, steers the
-  speculative extension edges and validates them in one
-  ``motion_results_batch`` call, then speculates the whole-segment connect
-  edge of each predicted accept against the *other* tree's snapshot in a
-  second batch.  Commits then run in sample order with exact scalar
-  semantics: when the committed edge equals the speculated one its stored
-  verdict and counter events are replayed; any mismatch (an intra-wave
-  accept moved the nearest) falls back to the scalar check.  Paths, costs
-  and operation counters are therefore **bit-identical across wave
-  widths** — W only changes what is precomputed, never what is decided.
+* **Wavefront speculation.**  The run loop works in waves of
+  ``wave_width`` samples.  A wave of ``W > 1`` samples speculates every
+  sample's nearest neighbor from a snapshot distance matrix of its
+  (alternating) active tree, steers the speculative extension edges and
+  validates them in one ``motion_results_batch`` call, then speculates the
+  whole-segment connect edge of each predicted accept against the *other*
+  tree's snapshot in a second batch.  Commits then run in sample order
+  with exact sequential semantics: when the committed edge equals the
+  speculated one its stored verdict and counter events are replayed; any
+  mismatch (an intra-wave accept moved the nearest) falls back to a
+  direct check, which is all a one-sample wave does.  Paths, costs and
+  operation counters are therefore **bit-identical across wave widths** —
+  W only changes what is precomputed, never what is decided.
 
 Deadline / op-budget expiry (and race cancellation via
 :mod:`repro.core.cancel`) is polled at every round *and* inside the greedy
@@ -53,22 +53,18 @@ closest to the goal, exactly like the RRT\\* anytime path.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.collision import make_checker
 from repro.core.config import PlannerConfig
 from repro.core.counters import OpCounter
-from repro.core.metrics import PlanResult, RoundRecord, path_length
-from repro.core.neighbors import make_strategy
-from repro.core.rng import LFSRSampler, NumpySampler
+from repro.core.metrics import PlanResult, path_length
 from repro.core.robots import RobotModel
 from repro.core.tree import ExpTree
 from repro.core.world import PlanningTask
-from repro.core.rrtstar import _CC_KINDS, _MAINT_KINDS, _NS_KINDS, _RunState
-from repro.obs import PhaseRecorder, bump
+from repro.core.rrtstar import _SamplingPlanner
+from repro.obs import PhaseRecorder
 
 #: Steering steps per greedy-connect chunk.  A blocked whole-segment
 #: connect advances in chunks of this many steps, each validated as one
@@ -77,84 +73,29 @@ from repro.obs import PhaseRecorder, bump
 _CHUNK_STEPS = 8
 
 
-class RRTConnectPlanner:
+class RRTConnectPlanner(_SamplingPlanner):
     """Bidirectional RRT with greedy whole-segment connect extensions."""
 
     def __init__(self, robot: RobotModel, task: PlanningTask, config: PlannerConfig):
-        if task.start.shape != (robot.dof,) or task.goal.shape != (robot.dof,):
-            raise ValueError(
-                f"task configurations must be {robot.dof}-dimensional for {robot.name}"
-            )
-        self.robot = robot
-        self.task = task
-        self.config = config
-        self.step = config.resolved_step(robot.step_size)
+        super().__init__(robot, task, config)
         self.chunk = _CHUNK_STEPS * self.step
-        resolution = config.resolved_motion_resolution(robot.step_size)
-        checker_kwargs = {"kernels": config.kernels}
-        if config.checker == "two_stage":
-            checker_kwargs["fine_stage"] = config.fine_stage
-        self.checker = make_checker(
-            config.checker, robot, task.environment, resolution, **checker_kwargs
-        )
-
-        def new_strategy():
-            return make_strategy(
-                config.neighbor_strategy,
-                robot.dof,
-                steering_insert=config.steering_insert,
-                approx_neighborhood=config.approx_neighborhood,
-                capacity=config.simbr_capacity,
-                kd_rebuild_every=config.kd_rebuild_every,
-                approx_scope=config.approx_scope,
-            )
-
-        self.strategies = (new_strategy(), new_strategy())
-        sampler_cls = {"numpy": NumpySampler, "lfsr": LFSRSampler}.get(config.sampler)
-        if sampler_cls is None:
-            raise KeyError(f"unknown sampler {config.sampler!r}; use 'numpy' or 'lfsr'")
-        self.sampler = sampler_cls(robot.config_lo, robot.config_hi, seed=config.seed)
+        self.strategies = (self._make_strategy(), self._make_strategy())
 
     # ------------------------------------------------------------------- plan
 
     def plan(self) -> PlanResult:
         """Grow both trees until they connect or the budget runs out."""
-        config = self.config
         counter = OpCounter()
         trees = (ExpTree(self.task.start), ExpTree(self.task.goal))
         self.trees = trees
         self.strategies[0].insert(trees[0].root, self.task.start, counter=counter)
         self.strategies[1].insert(trees[1].root, self.task.goal, counter=counter)
-
-        state = _RunState()
-        if config.op_budget is not None:
-            state.op_budget = config.op_budget
-        if config.deadline_s is not None:
-            state.deadline = time.monotonic() + config.deadline_s
-        from repro.core import cancel as _cancel
-        state.cancel = _cancel.active()
-
-        from repro.faults import get_injector
-        self._injector = get_injector()
-        self.checker._injector = self._injector
+        state = self._begin_run()
 
         obs = PhaseRecorder()
         plan_started = obs.tracer.now()
-        plan_span = obs.tracer.span(
-            "plan",
-            robot=self.robot.name,
-            dof=self.robot.dof,
-            checker=config.checker,
-            strategy=config.neighbor_strategy,
-            max_samples=config.max_samples,
-            wave_width=config.wave_width,
-            mode="connect",
-        )
-        with plan_span:
-            if config.wave_width > 1:
-                bridge = self._run_wave(counter, obs, state)
-            else:
-                bridge = self._run_scalar(counter, obs, state)
+        with self._plan_span(obs, mode="connect"):
+            bridge = self._run(counter, obs, state)
 
         result = self._result(bridge, counter, state)
         if obs.registry.enabled:
@@ -162,85 +103,34 @@ class RRTConnectPlanner:
                                      obs.tracer.now() - plan_started)
         return result
 
-    # --------------------------------------------------------------- run loops
+    # ---------------------------------------------------------------- run loop
 
-    def _expired(self, state, macs_fn) -> bool:
-        """Budget / cancellation poll shared by both loops and the greedy
-        connect; mirrors ``_RunState.budget_expired`` but takes the current
-        MAC total as a callable so wave commits can include their
-        sub-counter."""
-        if state.cancel is not None and state.cancel():
-            state.degraded_reason = "cancelled"
-            return True
-        if state.deadline is not None and time.monotonic() >= state.deadline:
-            state.degraded_reason = "deadline"
-            return True
-        if state.op_budget is not None and macs_fn() >= state.op_budget:
-            state.degraded_reason = "op_budget"
-            return True
-        return False
+    def _run(self, counter, obs, state) -> Optional[Tuple[int, int]]:
+        """The sampling loop: waves of up to ``wave_width`` samples.
 
-    def _run_scalar(self, counter, obs, state) -> Optional[Tuple[int, int]]:
-        """One sample per round: the reference sequential loop."""
-        config = self.config
-        trees = self.trees
-        injector = self._injector
-        check_budget = (state.deadline is not None or state.op_budget is not None
-                        or state.cancel is not None)
-        macs_fn = counter.total_macs
-        for iteration in range(config.max_samples):
-            if check_budget and self._expired(state, macs_fn):
-                break
-            if injector is not None:
-                injector.fire("planner.round", detail=f"iteration {iteration}")
-            snapshot = counter.snapshot()
-            with obs.phase("sample", counter):
-                x_rand = self.sampler.sample(counter=counter)
-            active = iteration % 2
-            new_id = self._extend_tree(active, x_rand, counter, obs)
-            accepted = new_id is not None
-            bridge = None
-            if accepted:
-                target = trees[active].point(new_id)
-                other, reached = self._connect(
-                    1 - active, target, counter, obs, state,
-                    check_budget, macs_fn,
-                )
-                if reached:
-                    bridge = (new_id, other) if active == 0 else (other, new_id)
-            state.rounds.append(
-                self._round_record(counter.diff(snapshot), accepted)
-            )
-            if bridge is not None:
-                return bridge
-        return None
-
-    def _run_wave(self, counter, obs, state) -> Optional[Tuple[int, int]]:
-        """Wavefront loop: W samples per wave through batched kernels.
-
-        Stage 1 (speculative, batched): per sample, the nearest node of its
-        alternating active tree comes from a snapshot distance-matrix
-        einsum; the speculative extension edges are steered and validated
-        whole in one ``motion_results_batch`` call, and for every predicted
-        accept the whole-segment connect edge toward the other tree's
-        snapshot-nearest node is validated in a second batch.
-
-        Stage 2 (commit, in sample order): each sample replays the exact
-        scalar round into its own sub-counter — real strategy nearest,
-        steer, then either a replay of the speculated edge result (when the
-        committed edge bitwise equals the speculation) or a scalar
-        re-check.  Merging the integer-weighted sub-counters reproduces the
-        scalar totals bit-for-bit, so plans and counters are identical at
+        A wave draws its samples, then commits them in sample order; each
+        commit extends the alternating active tree toward its sample and,
+        on an accept, greedily connects the other tree to the new node,
+        recording into its own sub-counter that is merged into ``counter``.
+        A wave of more than one sample is first evaluated speculatively
+        (:meth:`_speculate`) and its commits replay every edge result the
+        speculation got right; a one-sample wave checks every edge
+        directly.  Merging the integer-weighted sub-counters reproduces the
+        direct totals bit-for-bit, so plans and counters are identical at
         every W.
+
+        With one-sample waves the budget is polled before each round's
+        sample is drawn; wider waves poll before each commit, so that
+        budgets and race cancellation interrupt a wave between its commits.
         """
         config = self.config
         trees = self.trees
         injector = self._injector
         width_cfg = config.wave_width
-        check_budget = (state.deadline is not None or state.op_budget is not None
-                        or state.cancel is not None)
         start = 0
         while start < config.max_samples:
+            if width_cfg == 1 and state.armed and state.budget_expired(counter):
+                break
             if injector is not None:
                 injector.fire("planner.round", detail=f"wave at {start}")
             width = min(width_cfg, config.max_samples - start)
@@ -249,15 +139,12 @@ class RRTConnectPlanner:
             for j in range(width):
                 with obs.phase("sample", subs[j]):
                     xs[j] = self.sampler.sample(counter=subs[j])
+            spec = self._speculate(xs, width, start, obs) if width > 1 else None
 
-            # ---------------- stage 1: speculative batched evaluation
-            spec = self._speculate(xs, width, start, obs)
-
-            # ---------------- stage 2: in-order commit
             for j in range(width):
                 sub = subs[j]
-                macs_fn = lambda: counter.total_macs() + sub.total_macs()
-                if check_budget and self._expired(state, macs_fn):
+                if (width_cfg > 1 and state.armed
+                        and state.budget_expired(counter, sub)):
                     counter.merge(sub)
                     return None
                 active = (start + j) % 2
@@ -267,9 +154,7 @@ class RRTConnectPlanner:
                 if accepted:
                     target = trees[active].point(new_id)
                     other, reached = self._connect(
-                        1 - active, target, sub, obs, state,
-                        check_budget, macs_fn,
-                        spec=spec, spec_j=j,
+                        1 - active, target, sub, obs, state, counter, spec, j,
                     )
                     if reached:
                         bridge = (new_id, other) if active == 0 else (other, new_id)
@@ -355,11 +240,14 @@ class RRTConnectPlanner:
 
     # -------------------------------------------------------------- internals
 
-    def _extend_tree(self, side: int, target, counter, obs) -> Optional[int]:
-        """One bounded step of tree ``side`` toward ``target`` (scalar).
+    def _commit_extend(self, side: int, target, counter, obs, spec, j) -> Optional[int]:
+        """One bounded step of tree ``side`` toward ``target``.
 
-        Returns the new node id, or None when the step is blocked or the
-        target coincides with the nearest node.
+        Replays the speculated extension edge of sample ``j`` when it
+        bitwise matches the committed one; without ``spec`` (a one-sample
+        wave) the edge is checked directly.  Returns the new node id, or
+        None when the step is blocked or the target coincides with the
+        nearest node.
         """
         strategy = self.strategies[side]
         injector = self._injector
@@ -373,30 +261,9 @@ class RRTConnectPlanner:
             x_new = self._steer(nearest_point, target, dist)
         if injector is not None:
             injector.fire("planner.collision")
-        with obs.phase("collision", counter):
-            blocked = self.checker.motion_in_collision(
-                nearest_point, x_new, counter=counter
-            )
-        if blocked:
-            return None
-        return self._add(side, x_new, nearest_key, nearest_point, counter)
-
-    def _commit_extend(self, side: int, target, counter, obs, spec, j) -> Optional[int]:
-        """Commit-time extension: scalar semantics + speculation replay."""
-        strategy = self.strategies[side]
-        injector = self._injector
-        with obs.phase("nearest", counter):
-            found = strategy.nearest(target, counter=counter)
-        nearest_key, nearest_point, dist = found
-        if dist <= 1e-12:
-            return None
-        with obs.phase("steer", counter):
-            counter.record("steer", dim=self.robot.dof)
-            x_new = self._steer(nearest_point, target, dist)
-        if injector is not None:
-            injector.fire("planner.collision")
         used_spec = (
-            spec["ext_res"][j] is not None
+            spec is not None
+            and spec["ext_res"][j] is not None
             and nearest_key == spec["ext_key"][j]
             and np.array_equal(x_new, spec["ext_new"][j])
         )
@@ -411,8 +278,8 @@ class RRTConnectPlanner:
             return None
         return self._add(side, x_new, nearest_key, nearest_point, counter)
 
-    def _connect(self, side: int, target, counter, obs, state,
-                 check_budget, macs_fn, spec=None, spec_j=None):
+    def _connect(self, side: int, target, counter, obs, state, run_counter,
+                 spec, j):
         """Greedily extend tree ``side`` toward ``target`` until blocked.
 
         Returns ``(node, reached)``: the tree node closest to the advance
@@ -420,7 +287,10 @@ class RRTConnectPlanner:
         not a single step succeeded.  The whole segment is validated first
         as one edge; only a blocked segment falls back to chunk-wise
         advance.  Budgets and race cancellation are polled per chunk so a
-        long greedy connect cannot overshoot a deadline.
+        long greedy connect cannot overshoot a deadline; the MAC budget
+        counts ``run_counter`` (the run's merged work) plus ``counter``.
+        ``spec`` replays sample ``j``'s speculated whole-segment edge when
+        it matches; None checks the segment directly.
         """
         strategy = self.strategies[side]
         tree = self.trees[side]
@@ -436,13 +306,13 @@ class RRTConnectPlanner:
         # Whole-segment attempt: one ladder, one FK batch, one kernel pass.
         used_spec = (
             spec is not None
-            and spec["con_res"][spec_j] is not None
-            and nearest_key == spec["con_key"][spec_j]
-            and np.array_equal(target, spec["con_end"][spec_j])
+            and spec["con_res"][j] is not None
+            and nearest_key == spec["con_key"][j]
+            and np.array_equal(target, spec["con_end"][j])
         )
         with obs.phase("collision", counter):
             if used_spec:
-                blocked = self._replay_motion(spec["con_res"][spec_j], counter)
+                blocked = self._replay_motion(spec["con_res"][j], counter)
             else:
                 blocked = self.checker.motion_in_collision(
                     nearest_point, target, counter=counter
@@ -458,7 +328,7 @@ class RRTConnectPlanner:
         cur_key, cur_point = nearest_key, nearest_point
         last = None
         while True:
-            if check_budget and self._expired(state, macs_fn):
+            if state.armed and state.budget_expired(run_counter, counter):
                 return last, False
             remaining = float(np.linalg.norm(target - cur_point))
             if remaining <= 1e-9:
@@ -486,20 +356,6 @@ class RRTConnectPlanner:
             node_id, x_new, nearest_key=parent_key, counter=counter
         )
         return node_id
-
-    def _steer(self, origin: np.ndarray, target: np.ndarray, dist: float) -> np.ndarray:
-        """Move from ``origin`` toward ``target`` by at most one step."""
-        if dist <= self.step:
-            return target.copy()
-        return origin + (self.step / dist) * (target - origin)
-
-    def _replay_motion(self, result, counter) -> bool:
-        """Commit a speculatively validated edge from its stored result."""
-        bump("repro_cc_motion_checks_total",
-             help="Motion (edge) collision queries issued")
-        verdict, events = result
-        counter.merge(events)
-        return verdict
 
     # ---------------------------------------------------------------- results
 
@@ -529,17 +385,8 @@ class RRTConnectPlanner:
         status = "complete" if state.degraded_reason is None else "degraded"
         path: List[np.ndarray] = []
         goal_distance = None
-        if state.degraded_reason is not None and len(trees[0]) > 0:
-            # Anytime best-so-far: every start-tree edge was collision
-            # checked at insertion, so the path to ANY node is a valid
-            # collision-free prefix; return the one ending closest to the
-            # goal (cost-to-come plus straight-line remainder).
-            points = trees[0].points_view()
-            remainder = np.linalg.norm(points - self.task.goal[None, :], axis=1)
-            score = trees[0].costs_view() + remainder
-            best_node = int(np.argmin(score))
-            path = trees[0].path_to(best_node)
-            goal_distance = float(remainder[best_node])
+        if state.degraded_reason is not None:
+            path, goal_distance = self._anytime_prefix(trees[0])
         return PlanResult(
             success=False,
             path=path,
@@ -551,47 +398,4 @@ class RRTConnectPlanner:
             status=status,
             degraded_reason=state.degraded_reason,
             best_goal_distance=goal_distance,
-        )
-
-    def cache_stats(self) -> dict:
-        """Per-cache hit/miss statistics: always empty, the planner keeps no
-        result caches."""
-        return {}
-
-    def _record_run_metrics(self, obs, result, counter, elapsed_s: float) -> None:
-        registry = obs.registry
-        registry.counter("repro_plans_total", "Completed planning runs").inc(
-            outcome="success" if result.success else "failure"
-        )
-        registry.counter("repro_plan_rounds_total", "Sampling rounds executed").inc(
-            result.iterations
-        )
-        registry.histogram(
-            "repro_plan_seconds", "End-to-end planner wall time"
-        ).observe(elapsed_s)
-        for category, macs in counter.macs_by_category().items():
-            registry.counter(
-                "repro_macs_total", "MAC-equivalents by cost-model category"
-            ).inc(macs, category=category)
-
-    def _round_record(self, diff: OpCounter, accepted: bool,
-                      wave_width: int = 1) -> RoundRecord:
-        loads = {"ns": 0.0, "cc": 0.0, "maint": 0.0, "other": 0.0}
-        for kind, macs in diff.macs.items():
-            if kind in _NS_KINDS:
-                loads["ns"] += macs
-            elif kind in _CC_KINDS:
-                loads["cc"] += macs
-            elif kind in _MAINT_KINDS:
-                loads["maint"] += macs
-            else:
-                loads["other"] += macs
-        return RoundRecord(
-            ns_macs=loads["ns"],
-            cc_macs=loads["cc"],
-            maint_macs=loads["maint"],
-            other_macs=loads["other"],
-            accepted=accepted,
-            events=dict(diff.events),
-            wave_width=wave_width,
         )

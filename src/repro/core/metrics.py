@@ -33,7 +33,7 @@ class RoundRecord:
         repaired: whether the repair step changed the speculated nearest
             neighbor.
         wave_width: width of the wave this round was committed in (1 for
-            the scalar loop).
+            a one-sample wave).
         repaired_in_wave: the round's speculative wave result was discarded
             at commit time (an intra-wave conflict forced a scalar redo) —
             the wave-lane equivalent of a pipeline bubble.

@@ -8,7 +8,7 @@ with the collision checker and neighbor-search strategy injected through
 the defaults reproduce the original RRT\\* baseline.
 
 The planner also hosts the *functional* speculate-and-repair model
-(Section IV-B): with ``speculation_depth = k``, the nearest-neighbor search
+(Section IV-B): with speculation depth ``k``, the nearest-neighbor search
 of each round is blinded to the nodes inserted in the previous ``k`` rounds
 (they are still in flight in the hardware pipeline) and a repair step then
 compares the speculated result against those pending nodes — the Missing
@@ -16,26 +16,28 @@ Neighbors Buffer.  The repaired result is provably the true nearest
 neighbor, so planning outcomes are identical with and without speculation
 (a tested invariant mirroring the paper's "functionally equivalent" claim).
 
-Wavefront mode (``wave_width = W > 1``) turns that functional model into a
-throughput mechanism: each wave draws ``W`` samples at once, evaluates the
-nearest-neighbor distance matrix, speculative steering, and the collision
-check of every speculative edge as single batched kernel calls against a
-snapshot of the tree, then commits the samples *in order* with the exact
-scalar semantics of ``speculation_depth = W`` — a sample whose speculative
+There is one run loop, and it works in waves of ``wave_width`` samples.
+A wave of ``W > 1`` samples turns the functional model into a throughput
+mechanism at depth ``W``: it evaluates the nearest-neighbor distance
+matrix, speculative steering, and the collision check of every
+speculative edge as single batched kernel calls against a snapshot of the
+tree, then commits the samples *in order* — a sample whose speculative
 result is invalidated by an intra-wave accept is repaired exactly like a
-pending-node miss.  Every counter event of the scalar round is replayed at
-commit time (batched arithmetic feeds verdicts, not counts), so paths,
-costs, and OpCounter totals are bit-identical to the scalar planner at the
-equivalent speculation depth.
+pending-node miss.  Every counter event of the sequential round is
+replayed at commit time (batched arithmetic feeds verdicts, not counts),
+so paths, costs, and OpCounter totals are bit-identical to one-sample
+waves at ``speculation_depth = W``.  A one-sample wave has nothing to
+batch: its commit checks each edge directly, and that direct path is the
+reference the speculative one is tested against.
 
 The wave's choose-parent and rewire edges are batched the same way
 (mask-then-replay).  Edge verdicts do not depend on tree state; only which
-edges the scalar extend checks does.  So once the speculation has fixed
-each likely accept's ``x_new``, a cost-pruned superset of its neighborhood
-edges rides along in the wave's second collision call, and ``_extend``
-replays each verdict it actually needs from a per-wave map.  Edges it
-never asks for are charged nothing; an edge the map lacks is checked
-singly, so a misprediction costs time, never correctness.
+edges the sequential extend checks does.  So once the speculation has
+fixed each likely accept's ``x_new``, a cost-pruned superset of its
+neighborhood edges rides along in the wave's second collision call, and
+``_extend`` replays each verdict it actually needs from a per-wave map.
+Edges it never asks for are charged nothing; an edge the map lacks is
+checked singly, so a misprediction costs time, never correctness.
 """
 
 from __future__ import annotations
@@ -71,12 +73,12 @@ _EXTEND_EDGES_HELP = (
 
 
 class _RunState:
-    """Mutable bookkeeping shared by the scalar and wavefront run loops."""
+    """Mutable bookkeeping of one planning run."""
 
     __slots__ = (
         "goal_nodes", "first_solution", "rounds", "cost_history",
         "best_known", "pending", "deadline", "op_budget", "degraded_reason",
-        "cancel",
+        "cancel", "armed",
     )
 
     def __init__(self):
@@ -88,32 +90,37 @@ class _RunState:
         # (round index, node id) pairs still "in flight" for speculation.
         self.pending: Deque[Tuple[int, int]] = deque()
         # Anytime-planning budgets: a monotonic wall deadline and a MAC
-        # budget.  None = disabled; both loops guard every check with a
-        # single `is not None` so absent budgets cost nothing and perturb
-        # neither RNG streams nor operation counts.
+        # budget.  None = disabled; the loops guard every poll with
+        # ``armed`` so absent budgets cost nothing and perturb neither RNG
+        # streams nor operation counts.
         self.deadline: Optional[float] = None
         self.op_budget: Optional[float] = None
         self.degraded_reason: Optional[str] = None
         # Cooperative cancellation (portfolio racing): a zero-arg predicate
         # polled alongside the budgets.  None = no race in flight.
         self.cancel = None
+        self.armed = False
 
-    def budget_expired(self, counter) -> bool:
-        """Check budgets; records the degradation reason on expiry."""
+    def budget_expired(self, *counters) -> bool:
+        """Check budgets, the MAC budget against the sum of ``counters``;
+        records the degradation reason on expiry."""
         if self.cancel is not None and self.cancel():
             self.degraded_reason = "cancelled"
             return True
         if self.deadline is not None and time.monotonic() >= self.deadline:
             self.degraded_reason = "deadline"
             return True
-        if self.op_budget is not None and counter.total_macs() >= self.op_budget:
+        if (self.op_budget is not None
+                and sum(c.total_macs() for c in counters) >= self.op_budget):
             self.degraded_reason = "op_budget"
             return True
         return False
 
 
-class RRTStarPlanner:
-    """RRT\\* planner over a robot model and planning task."""
+class _SamplingPlanner:
+    """What the RRT\\* and RRT-Connect planners share: task validation, the
+    collision checker, sampler and neighbor strategies, the per-run budgets
+    and fault injector, steering, speculative-edge replay, and telemetry."""
 
     def __init__(self, robot: RobotModel, task: PlanningTask, config: PlannerConfig):
         if task.start.shape != (robot.dof,) or task.goal.shape != (robot.dof,):
@@ -124,7 +131,6 @@ class RRTStarPlanner:
         self.task = task
         self.config = config
         self.step = config.resolved_step(robot.step_size)
-        self.goal_tolerance = config.resolved_goal_tolerance(robot.step_size)
         resolution = config.resolved_motion_resolution(robot.step_size)
         checker_kwargs = {"kernels": config.kernels}
         if config.checker == "two_stage":
@@ -132,19 +138,146 @@ class RRTStarPlanner:
         self.checker = make_checker(
             config.checker, robot, task.environment, resolution, **checker_kwargs
         )
-        self.strategy = make_strategy(
+        sampler_cls = {"numpy": NumpySampler, "lfsr": LFSRSampler}.get(config.sampler)
+        if sampler_cls is None:
+            raise KeyError(f"unknown sampler {config.sampler!r}; use 'numpy' or 'lfsr'")
+        self.sampler = sampler_cls(robot.config_lo, robot.config_hi, seed=config.seed)
+
+    def _make_strategy(self):
+        config = self.config
+        return make_strategy(
             config.neighbor_strategy,
-            robot.dof,
+            self.robot.dof,
             steering_insert=config.steering_insert,
             approx_neighborhood=config.approx_neighborhood,
             capacity=config.simbr_capacity,
             kd_rebuild_every=config.kd_rebuild_every,
             approx_scope=config.approx_scope,
         )
-        sampler_cls = {"numpy": NumpySampler, "lfsr": LFSRSampler}.get(config.sampler)
-        if sampler_cls is None:
-            raise KeyError(f"unknown sampler {config.sampler!r}; use 'numpy' or 'lfsr'")
-        self.sampler = sampler_cls(robot.config_lo, robot.config_hi, seed=config.seed)
+
+    def _begin_run(self) -> _RunState:
+        """Arm one run's budgets, race cancellation and fault injector."""
+        from repro.core import cancel
+        from repro.faults import get_injector
+
+        config = self.config
+        state = _RunState()
+        state.op_budget = config.op_budget
+        if config.deadline_s is not None:
+            state.deadline = time.monotonic() + config.deadline_s
+        state.cancel = cancel.active()
+        state.armed = (state.deadline is not None or state.op_budget is not None
+                       or state.cancel is not None)
+        # Fault-injection front end (repro.faults): None in the steady
+        # state, so the hot loops pay one is-None check per round.  The
+        # checker bound its injector at construction; refresh it so an
+        # injector installed after planner construction still sees the
+        # ``edge.validate`` site.
+        self._injector = get_injector()
+        self.checker._injector = self._injector
+        return state
+
+    def _plan_span(self, obs, **attrs):
+        """The run's ``plan`` span (dormant unless tracing is on)."""
+        config = self.config
+        return obs.tracer.span(
+            "plan",
+            robot=self.robot.name,
+            dof=self.robot.dof,
+            checker=config.checker,
+            strategy=config.neighbor_strategy,
+            max_samples=config.max_samples,
+            wave_width=config.wave_width,
+            **attrs,
+        )
+
+    def _steer(self, origin: np.ndarray, target: np.ndarray, dist: float) -> np.ndarray:
+        """Move from ``origin`` toward ``target`` by at most one step."""
+        if dist <= self.step:
+            return target.copy()
+        return origin + (self.step / dist) * (target - origin)
+
+    def _replay_motion(self, result, counter) -> bool:
+        """Commit a speculatively validated edge from its stored result.
+
+        Mirrors :meth:`~repro.core.collision.CollisionChecker.
+        motion_in_collision`: one motion-query metric, then the whole-edge
+        verdict with its captured counter events merged in.
+        """
+        bump("repro_cc_motion_checks_total",
+             help="Motion (edge) collision queries issued")
+        verdict, events = result
+        counter.merge(events)
+        return verdict
+
+    def _anytime_prefix(self, tree) -> Tuple[List[np.ndarray], float]:
+        """Best-so-far ``(path, distance to goal)`` of a degraded run.
+
+        Every tree edge was collision checked at insertion, so the path to
+        ANY node is a valid collision-free prefix.  Returns the one
+        minimizing cost-to-come plus the straight-line remainder to the
+        goal (the classic anytime heuristic).
+        """
+        remainder = np.linalg.norm(tree.points_view() - self.task.goal[None, :], axis=1)
+        best_node = int(np.argmin(tree.costs_view() + remainder))
+        return tree.path_to(best_node), float(remainder[best_node])
+
+    def cache_stats(self) -> dict:
+        """Per-cache hit/miss statistics: always empty, the planner keeps no
+        result caches."""
+        return {}
+
+    def _record_run_metrics(self, obs, result, counter, elapsed_s: float) -> None:
+        """Run-level metrics: plan count/latency and Fig-3 MAC categories."""
+        registry = obs.registry
+        registry.counter("repro_plans_total", "Completed planning runs").inc(
+            outcome="success" if result.success else "failure"
+        )
+        registry.counter("repro_plan_rounds_total", "Sampling rounds executed").inc(
+            result.iterations
+        )
+        registry.histogram(
+            "repro_plan_seconds", "End-to-end planner wall time"
+        ).observe(elapsed_s)
+        for category, macs in counter.macs_by_category().items():
+            registry.counter(
+                "repro_macs_total", "MAC-equivalents by cost-model category"
+            ).inc(macs, category=category)
+
+    @staticmethod
+    def _round_record(diff: OpCounter, accepted, missing_used=0, repaired=False,
+                      wave_width: int = 1, repaired_in_wave: bool = False) -> RoundRecord:
+        loads = {"ns": 0.0, "cc": 0.0, "maint": 0.0, "other": 0.0}
+        for kind, macs in diff.macs.items():
+            if kind in _NS_KINDS:
+                loads["ns"] += macs
+            elif kind in _CC_KINDS:
+                loads["cc"] += macs
+            elif kind in _MAINT_KINDS:
+                loads["maint"] += macs
+            else:
+                loads["other"] += macs
+        return RoundRecord(
+            ns_macs=loads["ns"],
+            cc_macs=loads["cc"],
+            maint_macs=loads["maint"],
+            other_macs=loads["other"],
+            accepted=accepted,
+            missing_used=missing_used,
+            repaired=repaired,
+            events=dict(diff.events),
+            wave_width=wave_width,
+            repaired_in_wave=repaired_in_wave,
+        )
+
+
+class RRTStarPlanner(_SamplingPlanner):
+    """RRT\\* planner over a robot model and planning task."""
+
+    def __init__(self, robot: RobotModel, task: PlanningTask, config: PlannerConfig):
+        super().__init__(robot, task, config)
+        self.goal_tolerance = config.resolved_goal_tolerance(robot.step_size)
+        self.strategy = self._make_strategy()
         if config.informed:
             self.sampler = InformedSampler(
                 self.sampler, task.start, task.goal, seed=config.seed
@@ -154,49 +287,20 @@ class RRTStarPlanner:
 
     def plan(self) -> PlanResult:
         """Run the sampling loop and return the planning outcome."""
-        config, robot, task = self.config, self.robot, self.task
-        dim = robot.dof
+        task = self.task
         counter = OpCounter()
         tree = ExpTree(task.start)
         self.strategy.insert(tree.root, task.start, counter=counter)
         self.tree = tree
-
-        state = _RunState()
-        if config.op_budget is not None:
-            state.op_budget = config.op_budget
-        if config.deadline_s is not None:
-            state.deadline = time.monotonic() + config.deadline_s
-        from repro.core import cancel as _cancel
-        state.cancel = _cancel.active()
         self._neighborhood_macs = 0.0
-        # Fault-injection front end (repro.faults): None in the steady
-        # state, so the hot loops pay one is-None check per round.
-        from repro.faults import get_injector
-        self._injector = get_injector()
-        # The checker bound its injector at construction; refresh it so an
-        # injector installed after planner construction still sees the
-        # ``edge.validate`` site.
-        self.checker._injector = self._injector
+        state = self._begin_run()
 
         # Observability front end: with tracing/metrics off this binds the
         # dormant globals and every obs.phase() below is one attribute check.
         obs = PhaseRecorder()
         plan_started = obs.tracer.now()
-        plan_span = obs.tracer.span(
-            "plan",
-            robot=robot.name,
-            dof=dim,
-            checker=config.checker,
-            strategy=config.neighbor_strategy,
-            max_samples=config.max_samples,
-            wave_width=config.wave_width,
-        )
-
-        with plan_span:
-            if config.wave_width > 1:
-                self._run_wave(tree, counter, obs, state)
-            else:
-                self._run_scalar(tree, counter, obs, state)
+        with self._plan_span(obs):
+            self._run(tree, counter, obs, state)
 
         self._cost_history = state.cost_history
         result = self._result(
@@ -208,106 +312,39 @@ class RRTStarPlanner:
             self._record_run_metrics(obs, result, counter, obs.tracer.now() - plan_started)
         return result
 
-    def _run_scalar(self, tree, counter, obs, state) -> None:
-        """One sample per round: the reference sequential loop."""
-        config, task, dim = self.config, self.task, self.robot.dof
-        pending = state.pending
-        injector = self._injector
-        check_budget = (state.deadline is not None or state.op_budget is not None
-                        or state.cancel is not None)
-        for iteration in range(config.max_samples):
-            if check_budget and state.budget_expired(counter):
-                break
-            if injector is not None:
-                injector.fire("planner.round", detail=f"iteration {iteration}")
-            snapshot = counter.snapshot()
-            with obs.phase("sample", counter):
-                x_rand = self.sampler.sample_biased(
-                    task.goal, config.goal_bias, counter=counter
-                )
+    def _run(self, tree, counter, obs, state) -> None:
+        """The sampling loop: waves of up to ``wave_width`` samples.
 
-            nearest_key, nearest_point, nearest_dist, missing_used, repaired = (
-                self._nearest_with_repair(tree, x_rand, pending, counter, obs)
-            )
+        A wave draws its samples, then commits them in sample order.  Each
+        commit is one sequential round — nearest + missing-neighbors
+        repair, steer, collision, extend — recorded into its own
+        sub-counter and merged into ``counter``.  An accepted node stays
+        pending (blinded from the nearest search, repaired against) for
+        the speculation depth: ``wave_width`` when that is above one, else
+        ``speculation_depth``.
 
-            accepted = False
-            node_id: Optional[int] = None
-            if nearest_dist > 1e-12:
-                with obs.phase("steer", counter):
-                    counter.record("steer", dim=dim)
-                    x_new = self._steer(nearest_point, x_rand, nearest_dist)
-                if injector is not None:
-                    injector.fire("planner.collision")
-                with obs.phase("collision", counter):
-                    blocked = self.checker.motion_in_collision(
-                        nearest_point, x_new, counter=counter
-                    )
-                if not blocked:
-                    with obs.phase("rewire", counter):
-                        node_id = self._extend(
-                            tree, x_new, nearest_key, nearest_point, counter
-                        )
-                    accepted = True
-                    self._after_accept(tree, node_id, x_new, iteration, state)
-
-            state.rounds.append(
-                self._round_record(counter.diff(snapshot), accepted, missing_used, repaired)
-            )
-
-            if accepted and config.speculation_depth > 0:
-                pending.append((iteration, node_id))
-            while pending and pending[0][0] <= iteration - config.speculation_depth:
-                pending.popleft()
-
-            if config.stop_on_goal and state.first_solution is not None:
-                break
-
-    def _run_wave(self, tree, counter, obs, state) -> None:
-        """Wavefront loop: W samples per wave through batched kernels.
-
-        Stage 1 (speculative, batched): against a snapshot of the tree, the
-        wave's nearest-neighbor lookups run as one distance-matrix einsum,
-        each sample's speculative ``x_new`` is steered, and every
-        speculative edge is validated whole — one ladder construction, one
-        FK batch, one stacked kernel pass — through a single
-        :meth:`~repro.core.collision.CollisionChecker.motion_results_batch`
-        call.  Each sample only sees the tree prefix the scalar planner at
-        ``speculation_depth = W`` would see (pending rounds are blinded).
-
-        Batched extend: :meth:`_simulate_commit` walks the commit order
-        ahead of time to fix each likely accept's ``x_new``, then
-        :meth:`_extend_edges` collects the choose-parent edges
-        (``point -> x_new``) and rewire edges (``x_new -> point``) the
-        scalar extend may check, pruned by snapshot costs.  They share the
-        wave's second ``motion_results_batch`` call with the re-steered
-        edges, so a wave makes at most two kernel calls.  The resulting
-        verdict map, keyed on exact endpoint bytes, lives for this wave
-        only.
-
-        Stage 2 (commit, in sample order): each sample replays the scalar
-        round — nearest + missing-neighbors repair, steer, collision,
-        extend — into its own sub-counter.  When the committed nearest
-        matches the speculation, the edge's verdict and captured counter
-        events are replayed from the batched stage; otherwise (an intra-wave
-        conflict repaired the nearest) the edge is re-checked scalar-wise,
-        exactly like a speculation miss in the hardware pipeline.  Inside
-        ``_extend`` each choose-parent/rewire edge the scalar loop checks
-        is looked up in the verdict map and replayed on a hit, checked
-        singly on a miss; ``repro_cc_extend_edges_total`` counts replayed,
-        fallback and unused edges.  Because all cost-model weights are
-        integers, merging the sub-counters reproduces the scalar counter
-        totals bit-for-bit.
+        A wave of more than one sample is first evaluated speculatively
+        (:meth:`_speculate`).  When the committed nearest matches the
+        speculation, the edge's verdict and captured counter events are
+        replayed; otherwise (an intra-wave conflict repaired the nearest)
+        the edge is checked singly, exactly like a speculation miss in the
+        hardware pipeline.  Inside ``_extend`` each choose-parent/rewire
+        edge is looked up in the wave's verdict map and replayed on a hit,
+        checked singly on a miss; ``repro_cc_extend_edges_total`` counts
+        replayed, fallback and unused edges.  A one-sample wave skips the
+        speculation and checks every edge directly.  Because all
+        cost-model weights are integers, merging the sub-counters
+        reproduces the direct path's totals bit-for-bit.
         """
         config, task, dim = self.config, self.task, self.robot.dof
         width_cfg = config.wave_width
+        depth = width_cfg if width_cfg > 1 else config.speculation_depth
         pending = state.pending
         linear = getattr(self.strategy, "linear_scan", False)
         injector = self._injector
-        check_budget = (state.deadline is not None or state.op_budget is not None
-                        or state.cancel is not None)
         start = 0
         while start < config.max_samples:
-            if check_budget and state.budget_expired(counter):
+            if state.armed and state.budget_expired(counter):
                 break
             if injector is not None:
                 injector.fire("planner.round", detail=f"wave at {start}")
@@ -319,109 +356,29 @@ class RRTStarPlanner:
                     xs[j] = self.sampler.sample_biased(
                         task.goal, config.goal_bias, counter=subs[j]
                     )
+            spec = (self._speculate(tree, xs, start, depth, pending, obs)
+                    if width > 1 else None)
+            verdicts = spec["verdicts"] if spec is not None else None
 
-            # ---------------- stage 1: speculative batched evaluation
-            n0 = len(tree)
-            points = tree.points_view()
-            pend_rounds = [r for r, _ in pending]
-            # Entering round start+j the scalar loop has popped rounds
-            # <= start+j-1-W, so the blinded suffix is rounds >= start+j-W;
-            # node ids are insertion-ordered, hence the visible set is a
-            # prefix of the snapshot.
-            limits = [
-                n0 - sum(1 for r in pend_rounds if r >= start + j - width_cfg)
-                for j in range(width)
-            ]
-            base_key = [0] * width
-            spec_key = [0] * width
-            spec_new: List[Optional[np.ndarray]] = [None] * width
-            #: Per-sample whole-edge (verdict, events) for the commit replay.
-            spec_results: List[Optional[tuple]] = [None] * width
-            with obs.tracer.span("wave", width=width, nodes=n0):
-                diffs = points[None, :, :] - xs[:, None, :]
-                d_sq = np.einsum("wnd,wnd->wn", diffs, diffs)
-                seg_starts = []
-                seg_ends = []
-                seg_js = []
-                pre_key = [0] * width
-                pre_dist = [0.0] * width
-                for j in range(width):
-                    k = int(np.argmin(d_sq[j, : limits[j]]))
-                    base_key[j] = k
-                    if linear:
-                        # Matches BruteForceIndex: sqrt of the einsum row.
-                        dist = float(np.sqrt(d_sq[j, k]))
-                    else:
-                        # Matches SIMBRTree's per-point distance arithmetic.
-                        dist = float(
-                            np.sqrt(float(np.sum((points[k] - xs[j]) ** 2)))
-                        )
-                    # Predict the POST-repair nearest among the snapshot:
-                    # replay the repair scan against the pending entries
-                    # that will still be in flight at this sample's commit
-                    # (bitwise the same arithmetic the commit-time repair
-                    # performs).  The matrix distance prunes entries that
-                    # provably cannot win (it agrees with the scalar norm
-                    # to a few ulp, dwarfed by the 1e-9 relative margin).
-                    cut = start + j - width_cfg
-                    bound = dist * dist * (1.0 + 1e-9)
-                    for r, pkey in pending:
-                        if r >= cut and d_sq[j, pkey] <= bound:
-                            pdist = float(np.linalg.norm(points[pkey] - xs[j]))
-                            if pdist < dist:
-                                k, dist = pkey, pdist
-                                bound = dist * dist * (1.0 + 1e-9)
-                    pre_key[j] = k
-                    pre_dist[j] = dist
-                    if dist > 1e-12:
-                        x_new = self._steer(points[k], xs[j], dist)
-                        spec_new[j] = x_new
-                        seg_starts.append(points[k])
-                        seg_ends.append(x_new)
-                        seg_js.append(j)
-                batch1: dict = {}
-                if seg_js:
-                    edge_results = self.checker.motion_results_batch(
-                        np.stack(seg_starts), np.stack(seg_ends)
-                    )
-                    for j, res in zip(seg_js, edge_results):
-                        batch1[j] = res
-                verdicts = self._simulate_commit(
-                    xs, width, n0, pre_key, pre_dist, points, tree.costs_view(),
-                    spec_key, spec_new, spec_results, batch1,
-                )
-
-            # ---------------- stage 2: in-order commit with repair
             stop = False
             for j in range(width):
                 iteration = start + j
                 sub = subs[j]
                 x_rand = xs[j]
-                if linear:
-                    # The committed visible set equals the speculative
-                    # prefix (intra-wave accepts are all still pending), so
-                    # the matrix row IS the exact scalar scan result.
-                    with obs.phase("nearest", sub):
-                        self.strategy.count_nearest(sub)
-                    k = base_key[j]
-                    nearest_key, nearest_point = k, points[k].copy()
-                    nearest_dist = float(np.sqrt(d_sq[j, k]))
-                    missing_used = 0
-                    repaired = False
-                    if pending:
-                        with obs.phase("repair", sub, entries=len(pending)):
-                            (nearest_key, nearest_point, nearest_dist,
-                             missing_used, repaired) = self._repair(
-                                tree, x_rand, pending, sub,
-                                nearest_key, nearest_point, nearest_dist,
-                                d_sq_row=d_sq[j], snapshot_len=n0,
-                            )
-                else:
-                    (nearest_key, nearest_point, nearest_dist,
-                     missing_used, repaired) = self._nearest_with_repair(
-                        tree, x_rand, pending, sub, obs,
-                        d_sq_row=d_sq[j], snapshot_len=n0,
+                if spec is None:
+                    nearest = self._nearest_with_repair(
+                        tree, x_rand, pending, sub, obs
                     )
+                else:
+                    # A linear scan's visible set equals the speculative
+                    # prefix (intra-wave accepts are all still pending), so
+                    # the matrix row IS the exact sequential scan result.
+                    nearest = self._nearest_with_repair(
+                        tree, x_rand, pending, sub, obs,
+                        d_sq_row=spec["d_sq"][j], snapshot_len=spec["n0"],
+                        scan_key=spec["base_key"][j] if linear else None,
+                    )
+                nearest_key, nearest_point, nearest_dist, missing_used, repaired = nearest
 
                 accepted = False
                 node_id: Optional[int] = None
@@ -430,16 +387,17 @@ class RRTStarPlanner:
                     with obs.phase("steer", sub):
                         sub.record("steer", dim=dim)
                         x_new = self._steer(nearest_point, x_rand, nearest_dist)
-                    spec = spec_new[j]
+                    if injector is not None:
+                        injector.fire("planner.collision")
                     used_spec = (
                         spec is not None
-                        and spec_results[j] is not None
-                        and nearest_key == spec_key[j]
-                        and np.array_equal(x_new, spec)
+                        and spec["spec_results"][j] is not None
+                        and nearest_key == spec["spec_key"][j]
+                        and np.array_equal(x_new, spec["spec_new"][j])
                     )
                     with obs.phase("collision", sub):
                         if used_spec:
-                            blocked = self._replay_motion(spec_results[j], sub)
+                            blocked = self._replay_motion(spec["spec_results"][j], sub)
                         else:
                             blocked = self.checker.motion_in_collision(
                                 nearest_point, x_new, counter=sub
@@ -457,13 +415,14 @@ class RRTStarPlanner:
                     self._round_record(
                         sub, accepted, missing_used, repaired,
                         wave_width=width,
-                        repaired_in_wave=pre_dist[j] > 1e-12 and not used_spec,
+                        repaired_in_wave=(spec is not None and not used_spec
+                                          and spec["pre_dist"][j] > 1e-12),
                     )
                 )
 
-                if accepted:
+                if accepted and depth > 0:
                     pending.append((iteration, node_id))
-                while pending and pending[0][0] <= iteration - width_cfg:
+                while pending and pending[0][0] <= iteration - depth:
                     pending.popleft()
 
                 counter.merge(sub)
@@ -478,13 +437,117 @@ class RRTStarPlanner:
                 break
             start += width
 
+    def _speculate(self, tree, xs, start, depth, pending, obs) -> dict:
+        """Speculative batched evaluation of a multi-sample wave.
+
+        Against a snapshot of the tree, the wave's nearest-neighbor lookups
+        run as one distance-matrix einsum, each sample's speculative
+        ``x_new`` is steered, and every speculative edge is validated
+        whole — one ladder construction, one FK batch, one stacked kernel
+        pass — through a single
+        :meth:`~repro.core.collision.CollisionChecker.motion_results_batch`
+        call.  Each sample only sees the tree prefix a one-sample wave at
+        speculation depth ``depth`` would see (pending rounds are blinded).
+
+        :meth:`_simulate_commit` then walks the commit order ahead of time
+        to fix each likely accept's ``x_new``, and :meth:`_extend_edges`
+        collects the choose-parent edges (``point -> x_new``) and rewire
+        edges (``x_new -> point``) the sequential extend may check, pruned
+        by snapshot costs.  They share the wave's second
+        ``motion_results_batch`` call with the re-steered edges, so a wave
+        makes at most two kernel calls.
+
+        Returns the snapshot (``n0`` nodes, distance matrix ``d_sq``), the
+        matrix nearest ``base_key`` and predicted post-repair distance
+        ``pre_dist`` per sample, the final speculation
+        (``spec_key``/``spec_new``/``spec_results``), and the wave's
+        ``verdicts`` map, keyed on exact endpoint bytes.  Everything is a
+        prediction: commits verify it bitwise before replaying anything.
+        """
+        width = len(xs)
+        linear = getattr(self.strategy, "linear_scan", False)
+        n0 = len(tree)
+        points = tree.points_view()
+        pend_rounds = [r for r, _ in pending]
+        # Entering round start+j a one-sample wave has popped rounds
+        # <= start+j-1-depth, so the blinded suffix is rounds >=
+        # start+j-depth; node ids are insertion-ordered, hence the visible
+        # set is a prefix of the snapshot.
+        limits = [
+            n0 - sum(1 for r in pend_rounds if r >= start + j - depth)
+            for j in range(width)
+        ]
+        base_key = [0] * width
+        spec_key = [0] * width
+        spec_new: List[Optional[np.ndarray]] = [None] * width
+        #: Per-sample whole-edge (verdict, events) for the commit replay.
+        spec_results: List[Optional[tuple]] = [None] * width
+        with obs.tracer.span("wave", width=width, nodes=n0):
+            diffs = points[None, :, :] - xs[:, None, :]
+            d_sq = np.einsum("wnd,wnd->wn", diffs, diffs)
+            seg_starts = []
+            seg_ends = []
+            seg_js = []
+            pre_key = [0] * width
+            pre_dist = [0.0] * width
+            for j in range(width):
+                k = int(np.argmin(d_sq[j, : limits[j]]))
+                base_key[j] = k
+                if linear:
+                    # Matches BruteForceIndex: sqrt of the einsum row.
+                    dist = float(np.sqrt(d_sq[j, k]))
+                else:
+                    # Matches SIMBRTree's per-point distance arithmetic.
+                    dist = float(
+                        np.sqrt(float(np.sum((points[k] - xs[j]) ** 2)))
+                    )
+                # Predict the POST-repair nearest among the snapshot:
+                # replay the repair scan against the pending entries
+                # that will still be in flight at this sample's commit
+                # (bitwise the same arithmetic the commit-time repair
+                # performs).  The matrix distance prunes entries that
+                # provably cannot win (it agrees with the exact norm
+                # to a few ulp, dwarfed by the 1e-9 relative margin).
+                cut = start + j - depth
+                bound = dist * dist * (1.0 + 1e-9)
+                for r, pkey in pending:
+                    if r >= cut and d_sq[j, pkey] <= bound:
+                        pdist = float(np.linalg.norm(points[pkey] - xs[j]))
+                        if pdist < dist:
+                            k, dist = pkey, pdist
+                            bound = dist * dist * (1.0 + 1e-9)
+                pre_key[j] = k
+                pre_dist[j] = dist
+                if dist > 1e-12:
+                    x_new = self._steer(points[k], xs[j], dist)
+                    spec_new[j] = x_new
+                    seg_starts.append(points[k])
+                    seg_ends.append(x_new)
+                    seg_js.append(j)
+            batch1: dict = {}
+            if seg_js:
+                edge_results = self.checker.motion_results_batch(
+                    np.stack(seg_starts), np.stack(seg_ends)
+                )
+                for j, res in zip(seg_js, edge_results):
+                    batch1[j] = res
+            verdicts = self._simulate_commit(
+                xs, width, n0, pre_key, pre_dist, points, tree.costs_view(),
+                spec_key, spec_new, spec_results, batch1,
+            )
+        return {
+            "n0": n0, "d_sq": d_sq, "base_key": base_key, "pre_dist": pre_dist,
+            "spec_key": spec_key, "spec_new": spec_new,
+            "spec_results": spec_results, "verdicts": verdicts,
+        }
+
     def _simulate_commit(self, xs, width, n0, pre_key, pre_dist, points, costs,
                          spec_key, spec_new, spec_results, batch1) -> dict:
         """Fold intra-wave accepts into the speculation (two sim passes).
 
         The pre-pass speculation only sees the tree snapshot, so a sample
         whose true nearest is a node accepted *earlier in the same wave*
-        would miss at commit and fall back to a scalar collision check.
+        would miss at commit and fall back to a single-edge collision check.
         This walks the commit order ahead of time:
 
         * Pass A predicts each sample's acceptance from the batch-1
@@ -512,7 +575,7 @@ class RRTStarPlanner:
 
         Both passes prefilter with squared-distance matrices to the
         candidate accept points (one stacked einsum per candidate set);
-        the exact scalar norm runs only on entries inside the 1e-9
+        the exact norm runs only on entries inside the 1e-9
         relative margin, which dwarfs the few-ulp matrix/norm divergence.
         """
         cand_idx = [j for j in range(width) if spec_new[j] is not None]
@@ -669,21 +732,8 @@ class RRTStarPlanner:
         ends = np.concatenate([new_pts[p_rows], cand_pts[r_cols]])
         return starts, ends
 
-    def _replay_motion(self, result, counter) -> bool:
-        """Commit a speculatively validated edge from its stored result.
-
-        Mirrors :meth:`~repro.core.collision.CollisionChecker.
-        motion_in_collision`: one motion-query metric, then the whole-edge
-        verdict with its captured counter events merged in.
-        """
-        bump("repro_cc_motion_checks_total",
-             help="Motion (edge) collision queries issued")
-        verdict, events = result
-        counter.merge(events)
-        return verdict
-
     def _after_accept(self, tree, node_id, x_new, iteration, state) -> None:
-        """Goal bookkeeping for an accepted sample (shared by both loops)."""
+        """Goal bookkeeping for an accepted sample."""
         task = self.task
         if float(np.linalg.norm(x_new - task.goal)) <= self.goal_tolerance:
             state.goal_nodes.append(node_id)
@@ -700,45 +750,30 @@ class RRTStarPlanner:
             if isinstance(self.sampler, InformedSampler):
                 self.sampler.update_best_cost(best)
 
-    def cache_stats(self) -> dict:
-        """Per-cache hit/miss statistics: always empty, the planner keeps no
-        result caches."""
-        return {}
-
-    def _record_run_metrics(self, obs, result, counter, elapsed_s: float) -> None:
-        """Run-level metrics: plan count/latency and Fig-3 MAC categories."""
-        registry = obs.registry
-        registry.counter("repro_plans_total", "Completed planning runs").inc(
-            outcome="success" if result.success else "failure"
-        )
-        registry.counter("repro_plan_rounds_total", "Sampling rounds executed").inc(
-            result.iterations
-        )
-        registry.histogram(
-            "repro_plan_seconds", "End-to-end planner wall time"
-        ).observe(elapsed_s)
-        for category, macs in counter.macs_by_category().items():
-            registry.counter(
-                "repro_macs_total", "MAC-equivalents by cost-model category"
-            ).inc(macs, category=category)
-
     # -------------------------------------------------------------- internals
 
-    def _nearest_with_repair(self, tree, x_rand, pending, counter, obs=None,
-                             d_sq_row=None, snapshot_len=0):
+    def _nearest_with_repair(self, tree, x_rand, pending, counter, obs,
+                             d_sq_row=None, snapshot_len=0, scan_key=None):
         """Speculated nearest-neighbor search plus the repair step.
 
         Without speculation this is a plain exact search.  With speculation,
         the index search cannot see the pending (in-flight) node ids; the
         repair step then reads each pending node from the Missing Neighbors
-        Buffer and keeps whichever candidate is truly nearest.
+        Buffer and keeps whichever candidate is truly nearest.  In a
+        speculated wave ``d_sq_row`` is the sample's row of the snapshot
+        distance matrix, and ``scan_key`` its matrix nearest when the
+        strategy is a linear scan: the row then answers the search, charged
+        at the scan's cost.
         """
-        if obs is None:
-            obs = PhaseRecorder()
-        exclude = {key for _, key in pending} if pending else None
         with obs.phase("nearest", counter):
-            found = self.strategy.nearest(x_rand, counter=counter, exclude=exclude)
-        assert found is not None, "tree root can never be excluded"
+            if scan_key is None:
+                exclude = {key for _, key in pending} if pending else None
+                found = self.strategy.nearest(x_rand, counter=counter, exclude=exclude)
+                assert found is not None, "tree root can never be excluded"
+            else:
+                self.strategy.count_nearest(counter)
+                found = (scan_key, tree.point(scan_key),
+                         float(np.sqrt(d_sq_row[scan_key])))
         nearest_key, nearest_point, nearest_dist = found
         missing_used = 0
         repaired = False
@@ -761,7 +796,7 @@ class RRTStarPlanner:
         hardware always performs them), but when the wavefront planner
         supplies its precomputed squared-distance row the actual norm is
         skipped for snapshot entries that provably cannot beat the current
-        nearest — the matrix agrees with the scalar norm to a few ulp,
+        nearest — the matrix agrees with the exact norm to a few ulp,
         dwarfed by the 1e-9 relative margin, so the selected neighbor is
         bitwise unchanged.
         """
@@ -788,12 +823,6 @@ class RRTStarPlanner:
                     bound = nearest_dist * nearest_dist * (1.0 + 1e-9)
         return nearest_key, nearest_point, nearest_dist, missing_used, repaired
 
-    def _steer(self, origin: np.ndarray, target: np.ndarray, dist: float) -> np.ndarray:
-        """Move from ``origin`` toward ``target`` by at most one step."""
-        if dist <= self.step:
-            return target.copy()
-        return origin + (self.step / dist) * (target - origin)
-
     def _extend(self, tree, x_new, nearest_key, nearest_point, counter,
                 verdicts=None):
         """Choose-parent + insert + rewire for an accepted sample.
@@ -801,7 +830,7 @@ class RRTStarPlanner:
         With ``config.rewire`` disabled the sample is attached straight to
         ``x_nearest`` (plain RRT): no neighborhood query, no refinement.
         ``verdicts`` is the wavefront's per-wave map of batched edge
-        results (see :meth:`_edge_in_collision`); None in the scalar loop.
+        results (see :meth:`_edge_in_collision`); None in a one-sample wave.
         """
         config, dim = self.config, self.robot.dof
         if not config.rewire:
@@ -856,7 +885,7 @@ class RRTStarPlanner:
         """One choose-parent/rewire edge check, replayed when wave-batched.
 
         A hit in the wave's verdict map replays the batched edge exactly
-        like a single check would record it; a miss (or the scalar loop,
+        like a single check would record it; a miss (or a one-sample wave,
         ``verdicts is None``) runs the single-edge check.
         """
         if verdicts is None:
@@ -887,32 +916,6 @@ class RRTStarPlanner:
                 return True
             current = tree.parent(current)
         return False
-
-    @staticmethod
-    def _round_record(diff: OpCounter, accepted, missing_used, repaired,
-                      wave_width: int = 1, repaired_in_wave: bool = False) -> RoundRecord:
-        loads = {"ns": 0.0, "cc": 0.0, "maint": 0.0, "other": 0.0}
-        for kind, macs in diff.macs.items():
-            if kind in _NS_KINDS:
-                loads["ns"] += macs
-            elif kind in _CC_KINDS:
-                loads["cc"] += macs
-            elif kind in _MAINT_KINDS:
-                loads["maint"] += macs
-            else:
-                loads["other"] += macs
-        return RoundRecord(
-            ns_macs=loads["ns"],
-            cc_macs=loads["cc"],
-            maint_macs=loads["maint"],
-            other_macs=loads["other"],
-            accepted=accepted,
-            missing_used=missing_used,
-            repaired=repaired,
-            events=dict(diff.events),
-            wave_width=wave_width,
-            repaired_in_wave=repaired_in_wave,
-        )
 
     def _result(self, tree, goal_nodes, first_solution, counter, rounds, iterations,
                 *, degraded_reason: Optional[str] = None):
@@ -969,19 +972,9 @@ class RRTStarPlanner:
             )
         path: List[np.ndarray] = []
         goal_distance = None
-        if degraded_reason is not None and len(tree) > 0:
-            # Anytime best-so-far: every tree edge was collision checked at
-            # insertion, so the path to ANY node is a valid collision-free
-            # prefix.  Return the one minimizing cost-to-come plus the
-            # straight-line remainder to the goal (the classic anytime
-            # heuristic), leaving path_cost at inf — the goal was not
-            # reached, only approached.
-            points = tree.points_view()
-            remainder = np.linalg.norm(points - task.goal[None, :], axis=1)
-            score = tree.costs_view() + remainder
-            best_node = int(np.argmin(score))
-            path = tree.path_to(best_node)
-            goal_distance = float(remainder[best_node])
+        if degraded_reason is not None:
+            # The goal was not reached, only approached: path_cost stays inf.
+            path, goal_distance = self._anytime_prefix(tree)
         return PlanResult(
             success=False,
             path=path,

@@ -137,7 +137,7 @@ class ChaosReport:
 def _bypass_request(task: PlanningTask, **fields) -> PlanRequest:
     """Build a PlanRequest WITHOUT running validation (hostile input sim)."""
     request = object.__new__(PlanRequest)
-    defaults = dict(task=task, lanes=1, smooth=False, timeout_s=None,
+    defaults = dict(task=task, smooth=False, timeout_s=None,
                     request_id="", fault=None, trace=False)
     defaults.update(fields)
     for name, value in defaults.items():

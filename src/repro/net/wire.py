@@ -11,7 +11,7 @@ cache tier.
 
 Two request body shapes are accepted by ``POST /plan``:
 
-* **full** — ``{"task": {...}, "config": {...}, "lanes": 1, ...}``: the
+* **full** — ``{"task": {...}, "config": {...}, "smooth": false, ...}``: the
   caller ships a complete task and planner configuration.
 * **spec** — ``{"spec": {"robot": "mobile2d", "obstacles": 8, "seed": 3,
   ...}}``: a compact generator spec the server expands deterministically
@@ -84,7 +84,6 @@ def request_to_wire(request: PlanRequest) -> Dict:
     out: Dict[str, object] = {
         "task": task_to_dict(request.task),
         "config": asdict(request.config),
-        "lanes": request.lanes,
         "smooth": request.smooth,
         "request_id": request.request_id,
     }
@@ -100,7 +99,7 @@ def spec_to_request(spec: Dict, request_id: str = "") -> PlanRequest:
 
     Recognised keys (all optional except ``seed`` defaults to 0):
     ``robot``, ``obstacles``, ``seed``, ``variant``, ``samples``,
-    ``goal_bias``, ``lanes``, ``smooth``, ``timeout_s``, ``deadline_s``,
+    ``goal_bias``, ``smooth``, ``timeout_s``, ``deadline_s``,
     ``mode`` (``"rrtstar"``/``"connect"``) and ``portfolio`` (a list of
     planner names, or ``["auto"]``, racing the request).  Unknown keys are
     rejected so a typo degrades to a 400, not to a silently-different
@@ -111,7 +110,7 @@ def spec_to_request(spec: Dict, request_id: str = "") -> PlanRequest:
 
     known = {
         "robot", "obstacles", "seed", "variant", "samples", "goal_bias",
-        "lanes", "smooth", "timeout_s", "deadline_s", "mode", "portfolio",
+        "smooth", "timeout_s", "deadline_s", "mode", "portfolio",
     }
     unknown = set(spec) - known
     if unknown:
@@ -138,7 +137,6 @@ def spec_to_request(spec: Dict, request_id: str = "") -> PlanRequest:
     return PlanRequest(
         task=task,
         config=config,
-        lanes=int(spec.get("lanes", 1)),
         smooth=bool(spec.get("smooth", False)),
         timeout_s=float(timeout_s) if timeout_s is not None else None,
         request_id=request_id,
@@ -169,6 +167,11 @@ def request_from_wire(data: Dict, request_id: str = "") -> PlanRequest:
             raise InvalidRequest(f"bad request spec: {exc}")
     if "task" not in data:
         raise InvalidRequest("request body needs 'task' (full) or 'spec'")
+    if "lanes" in data:
+        # The full form tolerates unknown keys, but ``lanes`` once chose a
+        # different planner: a client asking for it is told, not served
+        # another one.  Batched planning is ``config.wave_width``.
+        raise InvalidRequest("'lanes' is not supported; set config.wave_width")
     try:
         task = task_from_dict(data["task"])
         config = PlannerConfig(**data.get("config", {}))
@@ -179,7 +182,6 @@ def request_from_wire(data: Dict, request_id: str = "") -> PlanRequest:
         return PlanRequest(
             task=task,
             config=config,
-            lanes=int(data.get("lanes", 1)),
             smooth=bool(data.get("smooth", False)),
             timeout_s=float(timeout_s) if timeout_s is not None else None,
             request_id=request_id,

@@ -9,8 +9,8 @@ aggregate percentiles.
 
 Layering: the service sits *above* ``repro.core`` / ``repro.io`` — it never
 changes planning semantics, it only schedules and observes planning runs.
-Spatial lane parallelism (``core.batch``) composes *inside* a job
-(``PlanRequest.lanes``); the pool provides job parallelism *across* cores.
+The planner's wavefront (``PlannerConfig.wave_width``) batches work *inside*
+a job; the pool provides job parallelism *across* cores.
 
 Quickstart::
 

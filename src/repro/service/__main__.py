@@ -47,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="plan a task suite from this JSON file instead")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker processes (0 = inline, no pool)")
-    parser.add_argument("--lanes", type=int, default=1,
-                        help="in-job spatial lanes (BatchRRTStarPlanner)")
     parser.add_argument("--smooth", action="store_true")
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="per-job wall budget in seconds")
@@ -109,7 +107,6 @@ def main(argv: Optional[list] = None) -> int:
         variant=args.variant,
         samples=args.samples,
         goal_bias=args.goal_bias,
-        lanes=args.lanes,
         smooth=args.smooth,
         timeout_s=args.timeout,
         duplicate=args.duplicate,

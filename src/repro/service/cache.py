@@ -1,7 +1,7 @@
 """LRU plan cache keyed by request digest, with hit/miss accounting.
 
 The request-level analogue of MOPED's multi-level caching: planning is
-deterministic given (task, config, lanes, smooth) — that tuple's digest
+deterministic given (task, config, smooth) — that tuple's digest
 (:meth:`PlanRequest.cache_key`) therefore fully identifies the response,
 and a repeat request is a dictionary lookup instead of a planning run.
 

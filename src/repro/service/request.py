@@ -72,9 +72,6 @@ class PlanRequest:
         task: the planning problem.
         config: full planner configuration (includes the seed, so the job
             is deterministic and therefore cacheable).
-        lanes: in-job spatial parallelism — ``>1`` plans with
-            :class:`~repro.core.batch.BatchRRTStarPlanner` using this many
-            lanes per round, composing with the pool's job parallelism.
         smooth: shortcut-smooth the path after a successful plan.
         timeout_s: per-job wall-clock budget; ``None`` uses the pool
             default.
@@ -112,7 +109,6 @@ class PlanRequest:
 
     task: PlanningTask
     config: PlannerConfig
-    lanes: int = 1
     smooth: bool = False
     timeout_s: Optional[float] = None
     request_id: str = ""
@@ -124,8 +120,6 @@ class PlanRequest:
     recovered: bool = False
 
     def __post_init__(self) -> None:
-        if self.lanes < 1:
-            raise ValueError("lanes must be >= 1")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         if self.portfolio is not None:
@@ -193,7 +187,6 @@ class PlanRequest:
         payload = {
             "task": task_fingerprint(self.task),
             "config": config_fingerprint(self.config),
-            "lanes": self.lanes,
             "smooth": self.smooth,
         }
         if self.portfolio is not None:

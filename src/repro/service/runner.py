@@ -4,7 +4,7 @@
 list of :class:`PlanRequest` and returns one :class:`PlanResponse` per
 request, in order, after routing each through:
 
-1. **Cache lookup** — a previously-planned (task, config, lanes, smooth)
+1. **Cache lookup** — a previously-planned (task, config, smooth)
    digest is answered immediately with the stored response.
 2. **Single-flight coalescing** — duplicate keys *within* a batch plan
    once; the followers are answered from the leader's freshly-cached
@@ -638,7 +638,6 @@ def build_requests(
     variant: str = "full",
     samples: int = 500,
     goal_bias: float = 0.1,
-    lanes: int = 1,
     smooth: bool = False,
     timeout_s: Optional[float] = None,
     duplicate: int = 1,
@@ -690,7 +689,6 @@ def build_requests(
             PlanRequest(
                 task=task,
                 config=config,
-                lanes=lanes,
                 smooth=smooth,
                 timeout_s=timeout_s,
                 request_id=f"job-{i:03d}",

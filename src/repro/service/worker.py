@@ -139,18 +139,8 @@ def execute_request(request: PlanRequest) -> PlanResponse:
         previous = obs.install(tracer, registry)
     try:
         start = time.perf_counter()
-        with obs.get_tracer().span(
-            "job", request_id=request.request_id, lanes=request.lanes
-        ):
-            if request.lanes > 1 and request.config.mode == "rrtstar":
-                from repro.core.batch import BatchRRTStarPlanner
-
-                planner = BatchRRTStarPlanner(
-                    robot, request.task, request.config, batch_size=request.lanes
-                )
-            else:
-                planner = make_planner(robot, request.task, request.config)
-            result = planner.plan()
+        with obs.get_tracer().span("job", request_id=request.request_id):
+            result = make_planner(robot, request.task, request.config).plan()
 
             if request.smooth and result.success:
                 from repro.core.collision import BruteOBBChecker

@@ -234,6 +234,32 @@ class TestFaultedConnect:
             connect_plan(task2d)
         assert injector.counts().get("connect.extend:error", 0) >= 1
 
+    def test_collision_error_ends_wide_and_one_sample_waves_alike(self, task2d):
+        """``planner.collision`` fires once per commit-time collision step."""
+        from repro import faults
+        from repro.errors import FaultInjected
+
+        def until_fault(width):
+            planner = RRTConnectPlanner(
+                get_robot("mobile2d"), task2d,
+                moped_config("v4", max_samples=500, seed=0, wave_width=width))
+            faults.install_plan(
+                faults.FaultPlan.from_spec("planner.collision:error:after=5"))
+            try:
+                with pytest.raises(FaultInjected) as raised:
+                    planner.plan()
+            finally:
+                faults.clear()
+            return planner, str(raised.value)
+
+        wide, wide_error = until_fault(8)
+        one, one_error = until_fault(1)
+        assert wide_error == one_error
+        for wide_tree, one_tree in zip(wide.trees, one.trees):
+            assert len(wide_tree) == len(one_tree)
+            assert np.array_equal(wide_tree.points_view(), one_tree.points_view())
+        assert len(one.trees[0]) + len(one.trees[1]) > 2
+
     def test_slow_fault_under_deadline_degrades_promptly(self):
         import time
 

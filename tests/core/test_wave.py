@@ -1,10 +1,11 @@
-"""Wavefront planner: bit-equality with the scalar speculative loop.
+"""Wavefront planner: waves of W samples against one-sample waves.
 
-The wavefront mode (``wave_width = W``) batches W rounds per wave through
-the vectorized kernels but commits in sample order with the same
+A wave of ``W > 1`` samples is evaluated speculatively through the
+vectorized kernels but commits in sample order with the same
 speculate-and-repair semantics as ``speculation_depth = W``; plans, costs,
 operation counters, and per-round telemetry must therefore be bitwise
-identical to the scalar planner at the equivalent depth.
+identical to one-sample waves at that depth, which check every edge
+directly (the "scalar" reference below).
 """
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.collision import CollisionChecker
+from repro.errors import FaultInjected
+from repro.faults import FaultPlan, clear, install_plan
 from repro.core.metrics import RoundRecord, wave_occupancy
 from repro.core.moped import config_for_variant
 from repro.core.robots import get_robot
@@ -50,7 +53,7 @@ class TestWaveBitEquality:
     @pytest.mark.parametrize("robot", ["rozum", "xarm7", "mobile2d"])
     @pytest.mark.parametrize("width", [1, 4, 16])
     def test_wave_matches_scalar_at_equivalent_depth(self, robot, width):
-        # wave_width = 1 degenerates to the plain scalar loop (depth 0);
+        # wave_width = 1 is the direct path without speculation (depth 0);
         # any wider wave carries its own speculation depth of W.
         depth = width if width > 1 else 0
         wave = _plan(robot, "v4", wave_width=width)
@@ -129,6 +132,28 @@ class TestWaveBatchedExtend:
         _plan("xarm7", "v4", samples=300, obstacles=24, wave_width=8)
         assert scalar_checks > 40
         assert calls["single"] < scalar_checks / 4
+
+
+class TestWaveFaultSites:
+    def _plan_until_fault(self, **overrides):
+        task = random_task("mobile2d", 8, seed=2)
+        config = config_for_variant("v4", max_samples=100, seed=2, **overrides)
+        planner = RRTStarPlanner(get_robot("mobile2d"), task, config)
+        install_plan(FaultPlan.from_spec("planner.collision:error:after=25"))
+        try:
+            with pytest.raises(FaultInjected) as raised:
+                planner.plan()
+        finally:
+            clear()
+        return planner, str(raised.value)
+
+    def test_collision_error_ends_wide_and_one_sample_waves_alike(self):
+        """``planner.collision`` fires once per commit-time collision step."""
+        wide, wide_error = self._plan_until_fault(wave_width=8)
+        one, one_error = self._plan_until_fault(speculation_depth=8)
+        assert wide_error == one_error
+        assert len(wide.tree) == len(one.tree) > 1
+        assert np.array_equal(wide.tree.points_view(), one.tree.points_view())
 
 
 class TestWaveRepairProperty:

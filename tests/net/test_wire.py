@@ -45,15 +45,24 @@ class TestRequestWire(unittest.TestCase):
         self.assertNotEqual(a.cache_key(), b.cache_key())
 
     def test_full_form_round_trip_preserves_cache_key(self):
-        original = spec_to_request(dict(SPEC, lanes=2, smooth=True,
-                                        timeout_s=9.5), request_id="rt-1")
+        original = spec_to_request(dict(SPEC, smooth=True, timeout_s=9.5),
+                                   request_id="rt-1")
         data = _json_round_trip(request_to_wire(original))
         decoded = request_from_wire(data)
         self.assertEqual(decoded.cache_key(), original.cache_key())
         self.assertEqual(decoded.request_id, "rt-1")
-        self.assertEqual(decoded.lanes, 2)
         self.assertTrue(decoded.smooth)
         self.assertEqual(decoded.timeout_s, 9.5)
+
+    def test_lanes_is_invalid_in_both_forms(self):
+        # In-job lanes chose another planner; asking for them is a 400,
+        # not a silently different plan.
+        full = _json_round_trip(request_to_wire(spec_to_request(dict(SPEC))))
+        with self.assertRaisesRegex(InvalidRequest, "lanes"):
+            request_from_wire(dict(full, lanes=2))
+        with self.assertRaisesRegex(InvalidRequest, "lanes"):
+            request_from_wire({"spec": dict(SPEC, lanes=2)})
+        self.assertEqual(http_status_for("invalid"), 400)
 
     def test_spec_body_and_full_body_agree(self):
         # The two request shapes the front end accepts must describe the

@@ -34,11 +34,6 @@ class TestExecuteRequest:
         assert a.op_events == b.op_events
         assert a.iterations == b.iterations
 
-    def test_lanes_use_batch_planner(self):
-        wide = execute_request(make_request(seed=1, lanes=4))
-        assert wide.status == "ok"
-        assert wide.op_events["sample"] == 80  # full budget still drawn
-
 
 class TestFanOut:
     def test_end_to_end_over_eight_tasks(self):

@@ -63,10 +63,14 @@ class TestCacheKey:
     def test_same_work_same_key(self):
         assert make_request(seed=2).cache_key() == make_request(seed=2).cache_key()
 
-    def test_key_changes_with_lanes_and_smooth(self):
+    def test_key_changes_with_smooth(self):
         base = make_request(seed=2)
-        assert replace(base, lanes=4).cache_key() != base.cache_key()
         assert replace(base, smooth=True).cache_key() != base.cache_key()
+
+    def test_lanes_is_not_a_request_field(self):
+        with pytest.raises(TypeError):
+            make_request(lanes=4)
+        assert not hasattr(make_request(seed=2), "lanes")
 
     def test_key_ignores_labels_and_timeout(self):
         base = make_request(seed=2)
@@ -74,8 +78,6 @@ class TestCacheKey:
         assert relabelled.cache_key() == base.cache_key()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            make_request(lanes=0)
         with pytest.raises(ValueError):
             make_request(timeout_s=0.0)
 

@@ -117,6 +117,11 @@ class TestBuildRequests:
         assert requests[0].task is tasks[0]
         assert requests[0].config.seed == 3
 
+    def test_lanes_keyword_is_gone(self):
+        # Batches are sized by config.wave_width, not by in-job lanes.
+        with pytest.raises(TypeError):
+            build_requests(jobs=1, seed=0, samples=50, lanes=2)
+
 
 class TestCliBatchMode:
     def test_jobs_flag_routes_through_pool(self, capsys):
@@ -179,3 +184,11 @@ class TestServiceMain:
         assert code == 2
         summary = json.loads(capsys.readouterr().out)
         assert summary["failed"] == {"error": 1}
+
+    def test_lanes_flag_is_rejected(self, capsys):
+        from repro.service.__main__ import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["--jobs", "1", "--workers", "0", "--lanes", "2"])
+        assert exited.value.code == 2
+        assert "--lanes" in capsys.readouterr().err
