@@ -30,6 +30,7 @@ from repro.core.robots import get_robot
 from repro.core.rrtstar import RRTStarPlanner, plan
 from repro.geometry.rotations import random_rotation_2d, random_rotation_3d
 from repro.kernels import batch, reference
+from repro.obs.rca import DUMP_SCHEMA, RcaResult, analyze, read_dump
 from repro.workloads.generator import random_task
 
 SCHEMA_VERSION = 1
@@ -784,80 +785,118 @@ def load_report(path: str) -> Dict:
         return json.load(handle)
 
 
+#: Gated timing sections: (report key, key fields, time field, message
+#: label, digits).  An entry regresses when its time exceeds the factor
+#: times the baseline entry with the same key fields.
+GATED_SECTIONS = (
+    ("kernels", ("kernel", "dim", "size"), "batch_s",
+     "{kernel} dim={dim} size={size}", 6),
+    ("wave", ("case", "wave_width", "max_samples"), "wave_s",
+     "wave {case} W={wave_width}", 4),
+    ("edge", ("case", "wave_width", "edges"), "edge_s",
+     "edge {case} W={wave_width}", 4),
+    ("connect", ("case", "wave_width", "max_samples"), "connect_s",
+     "connect {case} W={wave_width}", 4),
+)
+
+
 def compare_to_baseline(
     report: Dict,
     baseline: Dict,
     factor: float = REGRESSION_FACTOR,
 ) -> List[str]:
-    """Regression check: returns one message per kernel slower than allowed.
+    """Regression check: returns one message per entry slower than allowed.
 
-    A kernel regresses when its batch time exceeds ``factor`` times the
-    committed baseline's batch time for the same (kernel, dim, size) point;
-    a wave case regresses when its wave time exceeds ``factor`` times the
-    baseline's wave time for the same (case, wave_width, max_samples)
-    point.  Points missing from either report are skipped — the gate only
-    compares what both runs measured.
+    For every section of :data:`GATED_SECTIONS`, an entry regresses when
+    its time exceeds ``factor`` times the committed baseline's time for
+    the same key (a kernel's (kernel, dim, size) point, a wave case's
+    (case, wave_width, max_samples) point, ...).  Points missing from
+    either report are skipped — the gate only compares what both runs
+    measured.
     """
-    def key(entry: Dict):
-        return (entry["kernel"], entry["dim"], entry["size"])
-
-    base_index = {key(entry): entry for entry in baseline.get("kernels", [])}
     failures: List[str] = []
-    for entry in report.get("kernels", []):
-        base = base_index.get(key(entry))
-        if base is None:
-            continue
-        if entry["batch_s"] > factor * base["batch_s"]:
-            failures.append(
-                f"{entry['kernel']} dim={entry['dim']} size={entry['size']}: "
-                f"{entry['batch_s']:.6f}s vs baseline {base['batch_s']:.6f}s "
-                f"(> {factor:.1f}x)"
-            )
-
-    def wave_key(entry: Dict):
-        return (entry["case"], entry["wave_width"], entry["max_samples"])
-
-    wave_index = {wave_key(entry): entry for entry in baseline.get("wave", [])}
-    for entry in report.get("wave", []):
-        base = wave_index.get(wave_key(entry))
-        if base is None:
-            continue
-        if entry["wave_s"] > factor * base["wave_s"]:
-            failures.append(
-                f"wave {entry['case']} W={entry['wave_width']}: "
-                f"{entry['wave_s']:.4f}s vs baseline {base['wave_s']:.4f}s "
-                f"(> {factor:.1f}x)"
-            )
-
-    def edge_key(entry: Dict):
-        return (entry["case"], entry["wave_width"], entry["edges"])
-
-    edge_index = {edge_key(entry): entry for entry in baseline.get("edge", [])}
-    for entry in report.get("edge", []):
-        base = edge_index.get(edge_key(entry))
-        if base is None:
-            continue
-        if entry["edge_s"] > factor * base["edge_s"]:
-            failures.append(
-                f"edge {entry['case']} W={entry['wave_width']}: "
-                f"{entry['edge_s']:.4f}s vs baseline {base['edge_s']:.4f}s "
-                f"(> {factor:.1f}x)"
-            )
-
-    def connect_key(entry: Dict):
-        return (entry["case"], entry["wave_width"], entry["max_samples"])
-
-    connect_index = {
-        connect_key(entry): entry for entry in baseline.get("connect", [])
-    }
-    for entry in report.get("connect", []):
-        base = connect_index.get(connect_key(entry))
-        if base is None:
-            continue
-        if entry["connect_s"] > factor * base["connect_s"]:
-            failures.append(
-                f"connect {entry['case']} W={entry['wave_width']}: "
-                f"{entry['connect_s']:.4f}s vs baseline "
-                f"{base['connect_s']:.4f}s (> {factor:.1f}x)"
-            )
+    for section, fields, time_field, label, digits in GATED_SECTIONS:
+        base_index = {tuple(entry[name] for name in fields): entry
+                      for entry in baseline.get(section, [])}
+        for entry in report.get(section, []):
+            base = base_index.get(tuple(entry[name] for name in fields))
+            if base is None:
+                continue
+            now, then = entry[time_field], base[time_field]
+            if now > factor * then:
+                failures.append(
+                    f"{label.format(**entry)}: {now:.{digits}f}s vs baseline "
+                    f"{then:.{digits}f}s (> {factor:.1f}x)"
+                )
     return failures
+
+
+#: Timed sections a bench report drills down over: (report key, section
+#: label, time field).  Each entry becomes one row whose ``time_s`` is its
+#: primary timing, so one RCA run attributes the whole report's time delta.
+_ROW_SECTIONS = (
+    ("kernels", "kernel", "batch_s"),
+    ("end_to_end", "e2e", "batch_s"),
+    ("wave", "wave", "wave_s"),
+    ("edge", "edge", "edge_s"),
+    ("connect", "connect", "connect_s"),
+)
+
+#: Entry fields that label a row (its drill-down attributes).
+_ROW_ATTRIBUTES = ("kernel", "dim", "size", "case", "robot", "obstacles",
+                   "variant", "checker", "wave_width", "max_samples", "edges")
+
+
+def bench_dump(report: Dict) -> Dict:
+    """A bench report as a drill-down dump (see :mod:`repro.obs.rca`).
+
+    Accepts stamped reports and the unstamped ones committed before the
+    ``emitter`` stamp; rejects reports newer than :data:`SCHEMA_VERSION`
+    and payloads with none of the timed sections.
+    """
+    if not any(key in report for key, _, _ in _ROW_SECTIONS):
+        raise ValueError(
+            "dump has no per-row 'records' and is not a repro.bench report "
+            "(no kernels / end_to_end / wave / edge / connect section)"
+        )
+    schema = report.get("schema")
+    if not isinstance(schema, int) or not 0 <= schema <= SCHEMA_VERSION:
+        raise ValueError(
+            f"repro.bench report carries schema {schema!r} but this build "
+            f"reads up to {SCHEMA_VERSION} — re-run the bench with a "
+            "matching build"
+        )
+    rows = []
+    for key, section, time_field in _ROW_SECTIONS:
+        for entry in report.get(key) or []:
+            row = {name: value for name, value in entry.items()
+                   if name not in _ROW_ATTRIBUTES}
+            row["time_s"] = entry[time_field]
+            row["attributes"] = {"section": section, **{
+                name: str(entry[name]) for name in _ROW_ATTRIBUTES
+                if name in entry
+            }}
+            rows.append(row)
+    return {"schema": DUMP_SCHEMA, "emitter": "repro.bench",
+            "measure": "time_s", "records": rows}
+
+
+def analyze_bench_reports(
+    baseline: Dict,
+    candidate: Dict,
+    metric: str = "sum",
+    measure: str = "time_s",
+    top: int = 5,
+) -> RcaResult:
+    """RCA over two bench reports (baseline vs candidate).
+
+    The default ``sum(time_s)`` decomposes the total wall-time delta
+    exactly across (section × kernel × dim × size / case) cells, so a
+    perf-gate failure names the offending cell(s).  Cells present in only
+    one report still surface (as vanished/new slices).
+    """
+    return analyze(
+        read_dump(bench_dump(baseline)).records,
+        read_dump(bench_dump(candidate)).records,
+        measure=measure, metric=metric, top=top, min_support=1,
+    )

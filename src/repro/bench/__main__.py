@@ -12,6 +12,7 @@ import sys
 
 from repro.bench import (
     REGRESSION_FACTOR,
+    analyze_bench_reports,
     check_faults_overhead,
     compare_to_baseline,
     load_report,
@@ -179,8 +180,6 @@ def main(argv=None) -> int:
             # the attribute combination that moved it, and leave the
             # machine report next to the bench output for CI to upload.
             try:
-                from repro.obs.rca import analyze_bench_reports
-
                 rca = analyze_bench_reports(baseline, report)
                 print(rca.render(), file=sys.stderr)
                 rca_path = args.rca_output

@@ -5,18 +5,14 @@ Usage::
     python -m repro.cli --robot viperx300 --obstacles 16 --samples 600
     python -m repro.cli --robot mobile2d --variant baseline --render
     python -m repro.cli --task task.json --out result.json
-    python -m repro.cli --jobs 8 --workers 4 --samples 400
     python -m repro.cli --trace trace.json --metrics metrics.prom
 
 Plans one task (randomly generated from a seed, or loaded from JSON),
 prints the outcome, optionally smooths / time-parameterizes the path,
 renders 2D workspaces as ASCII, and archives the result as JSON.
 
-With ``--jobs N`` the CLI switches to batch mode: N seeded tasks (seeds
-``seed .. seed+N-1``) are routed through the :mod:`repro.service` worker
-pool instead of a Python for-loop, and a telemetry JSON summary (cache
-hit-rate, p50/p95 plan latency, MAC totals) is printed at the end.  See
-``python -m repro.service --help`` for the full service front end.
+Batches of tasks go through the worker pool with ``python -m
+repro.service`` (``--jobs``, ``--workers``, ``--portfolio``, ...).
 """
 
 from __future__ import annotations
@@ -69,24 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shortcut-smooth the path after planning")
     parser.add_argument("--render", action="store_true",
                         help="ASCII-render 2D workspaces with the path")
-    batch = parser.add_argument_group(
-        "batch mode (repro.service worker pool)"
-    )
-    batch.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="plan N seeded tasks through the service pool")
-    batch.add_argument("--workers", type=int, default=2,
-                       help="worker processes for --jobs (0 = inline)")
-    batch.add_argument("--job-timeout", type=float, default=60.0,
-                       help="per-job wall budget in seconds for --jobs")
-    batch.add_argument("--duplicate", type=int, default=1,
-                       help="submit the --jobs batch N times (cache demo)")
-    batch.add_argument("--inject", default=None, metavar="KIND[:INDEX]",
-                       help="fault-inject one batch job: hang|crash|error")
-    batch.add_argument("--portfolio", default=None, metavar="NAMES",
-                       help="race each batch job across a comma-separated "
-                            "planner portfolio (connect,rrtstar,wave,"
-                            "informed or 'auto'); first feasible answer "
-                            "wins, losers are cancelled")
     obs_group = parser.add_argument_group("observability (repro.obs)")
     obs_group.add_argument("--trace", default=None, metavar="PATH",
                            help="record phase spans; write a Chrome trace_event "
@@ -121,70 +99,8 @@ def export_observability(args) -> None:
         print(f"metrics written to {args.metrics}")
 
 
-def run_batch(args) -> int:
-    """The ``--jobs N`` path: fan tasks out across the service pool."""
-    import json
-
-    from repro.service import PlanningService, build_requests
-    from repro.service.pool import PoolConfig
-
-    observing = configure_observability(args)
-    requests = build_requests(
-        robot=args.robot,
-        obstacles=args.obstacles,
-        jobs=args.jobs,
-        seed=args.seed,
-        variant=args.variant,
-        samples=args.samples,
-        goal_bias=args.goal_bias,
-        smooth=args.smooth,
-        timeout_s=args.job_timeout,
-        duplicate=args.duplicate,
-        inject=args.inject,
-        trace=observing,
-        deadline_s=args.deadline,
-        mode=args.mode,
-        portfolio=(
-            tuple(name.strip() for name in args.portfolio.split(",") if name.strip())
-            if args.portfolio else None
-        ),
-    )
-    pool_config = None
-    if args.workers > 0:
-        pool_config = PoolConfig(
-            num_workers=args.workers, default_timeout_s=args.job_timeout
-        )
-    with PlanningService(
-        num_workers=args.workers, pool_config=pool_config
-    ) as service:
-        responses = service.run_batch(requests)
-        summary = service.summary()
-    for response in responses:
-        cost = "-" if response.path_cost is None else f"{response.path_cost:.2f}"
-        tag = " cache" if response.cache_hit else ""
-        if response.race:
-            tag += (f" race[{'+'.join(response.race['planners'])}] "
-                    f"winner={response.race['winner']} "
-                    f"cancelled={response.race['cancelled']}")
-        print(f"{response.request_id}: {response.status} "
-              f"success={response.success} cost={cost}{tag}")
-    print(json.dumps(summary, indent=2))
-    if args.out is not None:
-        import pathlib
-
-        summary["responses"] = [r.to_dict(include_path=False) for r in responses]
-        pathlib.Path(args.out).write_text(json.dumps(summary, indent=2))
-        print(f"telemetry written to {args.out}")
-    if observing:
-        export_observability(args)
-    return 0 if all(r.status in ("ok", "degraded") for r in responses) else 1
-
-
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.jobs is not None:
-        return run_batch(args)
 
     if args.task is not None:
         from repro.io import load_task

@@ -174,9 +174,9 @@ def main(argv: Optional[list] = None) -> int:
         pathlib.Path(args.out).write_text(json.dumps(payload, indent=2))
         print(f"report written to {args.out}")
     if args.rca:
-        from repro.obs.rca import analyze, records_from_chaos, split_records
+        from repro.obs.rca import analyze, read_dump, split_records
 
-        records = records_from_chaos(payload)
+        records = read_dump(payload).records
         try:
             baseline, candidate = split_records(records, "fault=clean")
         except ValueError as exc:

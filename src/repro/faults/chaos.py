@@ -38,6 +38,7 @@ import numpy as np
 
 from ..core.moped import config_for_variant
 from ..core.world import PlanningTask
+from ..obs.rca import DUMP_SCHEMA
 from ..service.pool import PoolConfig
 from ..service.request import PlanRequest, TERMINAL_STATUSES
 from . import FaultInjector, FaultPlan, set_injector
@@ -94,8 +95,10 @@ class ChaosJob:
 
 
 #: Version stamp on written chaos reports so downstream consumers
-#: (``repro.obs.rca``) can reject or upgrade mismatched dumps.
-CHAOS_SCHEMA = 1
+#: (``repro.obs.rca``) can reject or upgrade mismatched dumps: the
+#: drill-down row format's version.  Each record's schedule ``category``
+#: and ``fault`` (``clean``/``armed``) sit in its ``attributes``.
+CHAOS_SCHEMA = DUMP_SCHEMA
 CHAOS_EMITTER = "repro.faults.chaos"
 
 
@@ -121,6 +124,7 @@ class ChaosReport:
         return {
             "schema": CHAOS_SCHEMA,
             "emitter": CHAOS_EMITTER,
+            "measure": "wall_seconds",
             "seed": self.seed,
             "jobs": self.jobs,
             "digest": self.digest,
@@ -418,14 +422,20 @@ def run_chaos(
         raise ChaosInvariantError(
             f"{len(violations)} invariant violation(s):\n  {preview}"
         )
-    # Per-job drill-down rows: each telemetry record joined with its
+    # Per-job drill-down rows: each telemetry row labelled with its
     # schedule category (by request_id) so RCA can split fault-armed vs
-    # clean jobs and attribute tail latency to the fault site.
+    # clean jobs and attribute tail latency to the fault site.  The
+    # schedule's category is authoritative for armed-vs-clean, over the
+    # request's own ``fault`` attribute.
     category_by_id = {job.request.request_id: job.category for job in schedule}
     job_rows = []
     for record in records:
         row = record.to_dict()
-        row["category"] = category_by_id.get(record.request_id, "?")
+        category = category_by_id.get(record.request_id, "?")
+        row["attributes"]["category"] = category
+        row["attributes"]["fault"] = (
+            "clean" if category == "healthy" else "armed"
+        )
         job_rows.append(row)
     report = ChaosReport(
         seed=seed, jobs=jobs, digest=digest, elapsed_s=elapsed,

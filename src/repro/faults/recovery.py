@@ -93,8 +93,6 @@ CRASH_EXIT_CODE = 87
 #: is deadlocked (the scenarios themselves finish in seconds).
 _CHILD_TIMEOUT_S = 600.0
 
-_ANNOUNCE_TIMEOUT_S = 30.0
-
 
 class RecoveryInvariantError(AssertionError):
     """A durability invariant did not survive the crash schedule."""
@@ -395,44 +393,6 @@ def _expect_rc(info: Dict, wanted: int, name: str, what: str,
     return False
 
 
-class _ShardProc:
-    """One SIGKILL-able cache-shard subprocess (announce-line discovery)."""
-
-    def __init__(self) -> None:
-        self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.net", "shard", "--port", "0"],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-        )
-        self.endpoint: Optional[str] = None
-
-    def await_announce(self) -> str:
-        deadline = time.monotonic() + _ANNOUNCE_TIMEOUT_S
-        while time.monotonic() < deadline:
-            line = self.proc.stdout.readline()
-            if not line:
-                raise RuntimeError(
-                    f"shard exited before announcing (rc={self.proc.poll()})"
-                )
-            if line.startswith("SHARD "):
-                self.endpoint = line.split()[1].strip()
-                return self.endpoint
-        raise RuntimeError("shard did not announce in time")
-
-    def kill(self) -> None:
-        """SIGKILL — no drain, no goodbye; the failover scenario's hammer."""
-        if self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.wait(timeout=10.0)
-
-    def stop(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.terminate()
-            try:
-                self.proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                self.kill()
-
-
 def _commit(report: RecoveryReport, name: str, scenario: Dict,
             violations: List[str], audit: Dict) -> None:
     scenario["audit"] = audit
@@ -557,9 +517,11 @@ def _scenario_quarantine(report: RecoveryReport, root: str,
 
 def _scenario_shard_death(report: RecoveryReport, root: str, n: int,
                           common: Dict) -> None:
+    from repro.net.demo import _Child
+
     name = "shard_death"
     directory = os.path.join(root, name)
-    shards = [_ShardProc(), _ShardProc()]
+    shards = [_Child("SHARD", ["shard", "--port", "0"]) for _ in range(2)]
     violations: List[str] = []
     first: Dict = {}
     second: Dict = {}

@@ -61,14 +61,19 @@ class _Child:
                 return self.endpoint
         raise RuntimeError(f"{self.tag} did not announce within {timeout_s}s")
 
+    def kill(self) -> None:
+        """SIGKILL — no drain, no goodbye (the crash scenarios' hammer)."""
+        if self.proc.poll() is None:
+            self.proc.kill()
+            self.proc.wait(timeout=10.0)
+
     def stop(self) -> None:
         if self.proc.poll() is None:
             self.proc.terminate()
             try:
                 self.proc.wait(timeout=5.0)
             except subprocess.TimeoutExpired:
-                self.proc.kill()
-                self.proc.wait(timeout=5.0)
+                self.kill()
 
 
 def _wait_healthy(url: str, timeout_s: float = _START_TIMEOUT_S) -> Dict:

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 from urllib.parse import urlsplit
 
+from repro.obs.rca import DUMP_SCHEMA
 from repro.obs.stats import percentile
 from repro.workloads.mixes import draw_spec, mix_names
 
@@ -62,8 +63,9 @@ __all__ = [
 ]
 
 #: Version stamp on every written report so downstream consumers
-#: (``repro.obs.rca``) can reject or upgrade mismatched dumps.
-TRAFFIC_SCHEMA = 1
+#: (``repro.obs.rca``) can reject or upgrade mismatched dumps: the
+#: drill-down row format's version (:func:`_drill_down_row`).
+TRAFFIC_SCHEMA = DUMP_SCHEMA
 TRAFFIC_EMITTER = "repro.net.traffic"
 
 
@@ -399,18 +401,54 @@ def run_traffic(config: TrafficConfig) -> TrafficResult:
 # -------------------------------------------------------------------- report
 
 
+def _outcome(code: int) -> str:
+    """A response code's outcome: 200/202 served, 429 shed, else error."""
+    if code in (200, 202):
+        return "served"
+    return "shed" if code == 429 else "error"
+
+
+#: Per-request record fields that become drill-down labels.
+_ROW_LABELS = ("robot", "obstacles", "samples", "deadline", "code", "status",
+               "cache_hit")
+
+
+def _drill_down_row(record: Dict, config: TrafficConfig) -> Dict:
+    """One per-request record as a drill-down row (see
+    :mod:`repro.obs.rca`): the workload attributes from
+    :func:`_spec_attributes`, the response code, status, cache outcome
+    and ``outcome`` (served / shed / error), and the run's mix, arrival
+    and mode move into ``attributes``; ``latency_s`` and ``attempt`` stay
+    as its measures."""
+    code = int(record["code"])
+    attributes = {"mix": str(config.mix), "arrival": str(config.arrival),
+                  "mode": str(config.mode)}
+    for name in ("robot", "obstacles", "samples", "deadline"):
+        if record.get(name) is not None:
+            attributes[name] = str(record[name])
+    attributes.update(
+        code=str(code),
+        status=str(record.get("status")),
+        cache_hit="hit" if record.get("cache_hit") else "miss",
+        outcome=_outcome(code),
+    )
+    row = {k: v for k, v in record.items() if k not in _ROW_LABELS}
+    row["attributes"] = attributes
+    return row
+
+
 def build_report(result: TrafficResult, config: TrafficConfig,
                  include_records: bool = False) -> Dict:
     """Reduce raw records to the percentile report the CI gate consumes.
 
-    With ``include_records`` the per-request rows (latency, code, status,
-    plus the workload attributes from :func:`_spec_attributes`) ride along
-    so the written report can feed ``repro.obs.rca`` drill-downs.
+    With ``include_records`` the per-request drill-down rows (see
+    :func:`_drill_down_row`) ride along so the written report can feed
+    ``repro.obs.rca`` drill-downs.
     """
     records = result.records
-    served = [r for r in records if r["code"] in (200, 202)]
-    shed = [r for r in records if r["code"] == 429]
-    errors = [r for r in records if r["code"] not in (200, 202, 429)]
+    served = [r for r in records if _outcome(r["code"]) == "served"]
+    shed = [r for r in records if _outcome(r["code"]) == "shed"]
+    errors = [r for r in records if _outcome(r["code"]) == "error"]
     latencies = [r["latency_s"] for r in served]
     by_code: Dict[str, int] = {}
     by_status: Dict[str, int] = {}
@@ -428,6 +466,7 @@ def build_report(result: TrafficResult, config: TrafficConfig,
     report = {
         "schema": TRAFFIC_SCHEMA,
         "emitter": TRAFFIC_EMITTER,
+        "measure": "latency_s",
         "mode": config.mode,
         "mix": config.mix,
         "arrival": config.arrival,
@@ -457,7 +496,7 @@ def build_report(result: TrafficResult, config: TrafficConfig,
         "by_status": dict(sorted(by_status.items())),
     }
     if include_records:
-        report["records"] = [dict(r) for r in records]
+        report["records"] = [_drill_down_row(r, config) for r in records]
     return report
 
 

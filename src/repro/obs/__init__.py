@@ -11,8 +11,7 @@ Three zero-dependency primitives, wired through every layer of the engine:
 * :mod:`repro.obs.events` — structured JSONL event log with run/job
   correlation ids.
 * :mod:`repro.obs.rca` — multi-dimensional root-cause drill-down: given
-  two telemetry/bench/chaos/traffic dumps (or one dump split by a
-  predicate), rank the attribute combinations explaining a metric delta
+  two dumps of its one row format (or one dump split by a predicate), rank the attribute combinations explaining a metric delta
   (``python -m repro.obs rca``).
 
 Both the tracer and the registry have process-global instances that start
@@ -53,7 +52,6 @@ from repro.obs.rca import (
     RcaFinding,
     RcaResult,
     analyze,
-    analyze_bench_reports,
     load_dump,
     split_records,
 )
@@ -213,7 +211,6 @@ __all__ = [
     "Tracer",
     "aggregate_spans",
     "analyze",
-    "analyze_bench_reports",
     "axis_summary",
     "bump",
     "configure",

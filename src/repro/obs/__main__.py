@@ -15,8 +15,8 @@ Usage::
 per-phase time/MAC breakdown table; ``--json`` emits the merged structure
 machine-readably instead.
 
-``rca`` runs the :mod:`repro.obs.rca` drill-down over two telemetry /
-bench / chaos / traffic dumps (or one dump split by an ``attr=value``
+``rca`` runs the :mod:`repro.obs.rca` drill-down over two dumps of the
+one drill-down row format (or one dump split by an ``attr=value``
 predicate) and prints the ranked attribute combinations explaining the
 metric delta.  ``rca-smoke`` is the self-check CI runs: it plants a known
 regression slice in a synthetic fixture and fails unless the analyzer
@@ -55,8 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
         "rca", help="root-cause drill-down: name the slice that moved a "
                     "metric between two dumps"
     )
-    rca.add_argument("baseline", help="baseline dump (telemetry / bench / "
-                                      "chaos / traffic JSON)")
+    rca.add_argument("baseline", help="baseline dump: any stamped records "
+                                      "dump (service telemetry, chaos, "
+                                      "traffic) or a repro.bench report")
     rca.add_argument("candidate", nargs="?", default=None,
                      help="candidate dump; omit when using --split")
     rca.add_argument("--split", default=None, metavar="ATTR=VALUE",
@@ -64,9 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "baseline, the rest the candidate (attr!=value "
                           "inverts); e.g. fault=clean")
     rca.add_argument("--measure", default="auto",
-                     help="record measure to analyze (default: the dump "
-                          "kind's primary — plan_seconds / time_s / "
-                          "wall_seconds / latency_s)")
+                     help="record measure to analyze, or attr=value for the "
+                          "indicator of that attribute value (e.g. "
+                          "outcome=error); default: the measure the dump "
+                          "is stamped with")
     rca.add_argument("--metric", default="p95",
                      choices=("p50", "p95", "p99", "mean", "max", "sum",
                               "count"),
@@ -94,28 +96,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_rca(args) -> int:
-    from repro.obs.rca import DEFAULT_MEASURES, analyze, load_dump, split_records
+    from repro.obs.rca import analyze, load_dump, split_records
 
     if (args.candidate is None) == (args.split is None):
         print("repro.obs rca: need either a candidate dump or --split "
               "attr=value (exactly one)", file=sys.stderr)
         return 2
     try:
-        base_kind, base_records = load_dump(args.baseline)
+        dump = load_dump(args.baseline)
         if args.split is not None:
-            cand_kind = base_kind
-            baseline, candidate = split_records(base_records, args.split)
+            baseline, candidate = split_records(dump.records, args.split)
         else:
-            cand_kind, candidate = load_dump(args.candidate)
-            baseline = base_records
-            if cand_kind != base_kind:
+            other = load_dump(args.candidate)
+            if other.emitter != dump.emitter:
                 raise ValueError(
-                    f"dump kinds differ: {args.baseline} is {base_kind}, "
-                    f"{args.candidate} is {cand_kind}"
+                    f"dump emitters differ: {args.baseline} is from "
+                    f"{dump.emitter}, {args.candidate} from {other.emitter}"
                 )
-        measure = args.measure
-        if measure == "auto":
-            measure = DEFAULT_MEASURES[base_kind]
+            baseline, candidate = dump.records, other.records
+        measure = dump.measure if args.measure == "auto" else args.measure
         result = analyze(
             baseline, candidate, measure=measure, metric=args.metric,
             top=args.top, max_depth=args.max_depth,

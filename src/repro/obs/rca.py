@@ -14,12 +14,15 @@ always name the same slice.
 
 The pipeline has three stages:
 
-1. **Normalization** — :class:`DimensionalRecord` flattens heterogeneous
-   dump formats (:class:`~repro.service.telemetry.TelemetrySink` dumps,
-   ``repro.bench`` reports, chaos-harness reports, ``repro.net.traffic``
-   reports) into one ``attributes -> values`` + ``measures -> floats``
-   schema.  :func:`load_dump` sniffs the kind and enforces the ``schema``
-   / ``emitter`` stamps the dumps carry, so a mismatched or future dump is
+1. **Loading** — every emitter (:class:`~repro.service.telemetry.TelemetrySink`
+   dumps, chaos-harness reports, ``repro.net.traffic`` reports) writes
+   one row shape: a dump stamped with ``schema``, ``emitter`` and its
+   default ``measure`` carries ``records``, each with an ``attributes``
+   map (string -> string, every dimension RCA slices on) whose other
+   top-level numbers are its measures.  :func:`load_dump` checks the
+   stamps and reads the rows into :class:`DimensionalRecord`; a
+   ``repro.bench`` report is converted by that module
+   (:func:`repro.bench.bench_dump`).  A mismatched or future dump is
    rejected instead of mis-parsed.
 2. **Search** — :func:`analyze` enumerates attribute subsets bottom-up
    (single attributes first, then pairs, then triples, up to
@@ -36,9 +39,11 @@ CLI (see ``repro.obs.__main__``)::
 
     python -m repro.obs rca baseline.json candidate.json --metric p95
     python -m repro.obs rca chaos.json --split fault=clean --measure wall_seconds
+    python -m repro.obs rca net.json --split outcome=served --measure outcome=error
     python -m repro.obs rca-smoke --out rca-report.json
 
-Everything here is stdlib-only, like the rest of ``repro.obs``.
+Everything here is stdlib-only, like the rest of ``repro.obs``; only a
+``repro.bench`` report (and the smoke's bench case) imports that module.
 """
 
 from __future__ import annotations
@@ -52,16 +57,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.obs.stats import percentile
 
 __all__ = [
+    "DUMP_SCHEMA",
     "DimensionalRecord",
+    "Dump",
     "RcaFinding",
     "RcaResult",
     "analyze",
-    "analyze_bench_reports",
     "load_dump",
-    "records_from_bench",
-    "records_from_chaos",
-    "records_from_telemetry",
-    "records_from_traffic",
+    "read_dump",
     "render_smoke_fixture",
     "rca_smoke",
     "split_records",
@@ -70,31 +73,12 @@ __all__ = [
 #: Version of the machine-readable RCA report this module emits.
 RCA_SCHEMA = 1
 
-#: Highest dump ``schema`` this module understands, per emitter kind.  A
-#: dump stamped newer than this is rejected (it may carry fields we would
-#: silently mis-parse); an *unstamped* dump is treated as legacy v0 and
-#: accepted only when its shape is unambiguous.
-SUPPORTED_SCHEMAS = {
-    "telemetry": 1,
-    "bench": 1,
-    "chaos": 1,
-    "traffic": 1,
-}
-
-EMITTERS = {
-    "repro.service.telemetry": "telemetry",
-    "repro.net.traffic": "traffic",
-    "repro.faults.chaos": "chaos",
-    "repro.bench": "bench",
-}
-
-#: Default measure per dump kind when the caller asks for ``auto``.
-DEFAULT_MEASURES = {
-    "telemetry": "plan_seconds",
-    "bench": "time_s",
-    "chaos": "wall_seconds",
-    "traffic": "latency_s",
-}
+#: Version of the drill-down row format; every emitter stamps its dumps
+#: with it.  Bump it when the row shape changes incompatibly.  A dump
+#: stamped older predates the format (its labels may sit outside
+#: ``attributes``); one stamped newer may carry fields this build would
+#: mis-parse.  Both are rejected rather than read.
+DUMP_SCHEMA = 2
 
 #: Metrics the analyzer can compute over a measure.  ``sum`` and ``count``
 #: decompose additively (exact per-slice attribution); the order statistics
@@ -108,7 +92,7 @@ MISSING = "-"
 
 @dataclass
 class DimensionalRecord:
-    """One normalized telemetry row: attribute labels plus numeric measures.
+    """One drill-down row: attribute labels plus numeric measures.
 
     ``attributes`` maps dimension name to its (stringified) value — the
     axes the lattice search slices on.  ``measures`` maps measure name to
@@ -119,237 +103,73 @@ class DimensionalRecord:
     measures: Dict[str, float]
 
 
-# ------------------------------------------------------------ normalization
+@dataclass
+class Dump:
+    """A loaded dump: who wrote it, its default measure, and its rows."""
+
+    emitter: str
+    measure: str
+    records: List[DimensionalRecord]
 
 
-def _stringify_attrs(raw: Dict) -> Dict[str, str]:
-    return {str(k): str(v) for k, v in raw.items() if v is not None}
+# ------------------------------------------------------------------ loading
 
 
-def _schema_error(kind: str, found) -> ValueError:
-    return ValueError(
-        f"{kind} dump carries schema {found!r} but this build supports "
-        f"up to {SUPPORTED_SCHEMAS[kind]} — upgrade repro or re-dump with "
-        "a matching emitter"
-    )
+def read_dump(payload: Dict) -> Dump:
+    """Check a dump's stamps and read its rows.
 
-
-def _check_schema(payload: Dict, kind: str) -> None:
-    """Reject dumps stamped newer than we understand, or mis-labelled."""
-    emitter = payload.get("emitter")
-    if emitter is not None:
-        expected = EMITTERS.get(emitter)
-        if expected is None and kind != "bench":
-            raise ValueError(f"unknown dump emitter {emitter!r}")
-        if expected is not None and expected != kind:
-            raise ValueError(
-                f"dump emitter {emitter!r} is a {expected} dump, "
-                f"not {kind}"
-            )
-    schema = payload.get("schema")
-    if schema is None:
-        return  # legacy v0 dump: accepted, parsed by shape
-    if not isinstance(schema, int) or schema < 0:
-        raise _schema_error(kind, schema)
-    if schema > SUPPORTED_SCHEMAS[kind]:
-        raise _schema_error(kind, schema)
-
-
-def records_from_telemetry(payload: Dict) -> List[DimensionalRecord]:
-    """Flatten a :class:`~repro.service.telemetry.TelemetrySink` dump.
-
-    Needs the per-job ``records`` rows (``TelemetrySink.dump`` writes them
-    by default); the aggregate summary alone cannot be drilled into.
+    A dump carries ``schema`` (:data:`DUMP_SCHEMA`), ``emitter``, its
+    default ``measure`` and its ``records`` rows.  A ``repro.bench``
+    report (stamped or not) has sections instead of rows; that module
+    converts it.  Anything else raises :class:`ValueError`, so a
+    mismatched or future dump is rejected instead of mis-parsed.
     """
-    _check_schema(payload, "telemetry")
-    rows = payload.get("records")
-    if rows is None:
-        raise ValueError(
-            "telemetry dump has no per-job 'records' rows — re-dump with "
-            "include_records=True (the TelemetrySink.dump default)"
-        )
-    out: List[DimensionalRecord] = []
-    for row in rows:
-        attrs = _stringify_attrs(row.get("attributes") or {})
-        attrs["status"] = str(row.get("status"))
-        attrs["cache_hit"] = "hit" if row.get("cache_hit") else "miss"
-        measures = {
-            "ok": 1.0 if row.get("status") == "ok" else 0.0,
-            "degraded": 1.0 if row.get("status") == "degraded" else 0.0,
-        }
-        for name in ("plan_seconds", "wall_seconds", "queue_wait_s",
-                     "total_macs", "samples", "attempts"):
-            value = row.get(name)
-            if value is not None:
-                measures[name] = float(value)
-        out.append(DimensionalRecord(attrs, measures))
-    return out
-
-
-def records_from_bench(payload: Dict) -> List[DimensionalRecord]:
-    """Flatten a ``repro.bench`` report (kernel / e2e / wave sections).
-
-    Every section's primary timing lands on the shared ``time_s`` measure
-    so one RCA run attributes the whole report's time delta; the
-    section-specific raw measures ride along.
-    """
-    _check_schema(payload, "bench")
-    out: List[DimensionalRecord] = []
-    for row in payload.get("kernels", []):
-        attrs = {"section": "kernel", "kernel": str(row["kernel"]),
-                 "dim": str(row["dim"]), "size": str(row["size"])}
-        out.append(DimensionalRecord(attrs, {
-            "time_s": float(row["batch_s"]),
-            "batch_s": float(row["batch_s"]),
-            "reference_s": float(row["reference_s"]),
-        }))
-    for row in payload.get("end_to_end", []):
-        attrs = {"section": "e2e", "case": str(row["case"]),
-                 "robot": str(row["robot"]),
-                 "obstacles": str(row["obstacles"]),
-                 "variant": str(row["variant"])}
-        out.append(DimensionalRecord(attrs, {
-            "time_s": float(row["batch_s"]),
-            "batch_s": float(row["batch_s"]),
-            "reference_s": float(row["reference_s"]),
-        }))
-    for row in payload.get("wave", []):
-        attrs = {"section": "wave", "case": str(row["case"]),
-                 "robot": str(row["robot"]),
-                 "obstacles": str(row["obstacles"]),
-                 "variant": str(row["variant"]),
-                 "wave_width": str(row["wave_width"])}
-        out.append(DimensionalRecord(attrs, {
-            "time_s": float(row["wave_s"]),
-            "wave_s": float(row["wave_s"]),
-            "scalar_s": float(row["scalar_s"]),
-        }))
-    for row in payload.get("edge", []):
-        attrs = {"section": "edge", "case": str(row["case"]),
-                 "robot": str(row["robot"]),
-                 "obstacles": str(row["obstacles"]),
-                 "checker": str(row["checker"]),
-                 "wave_width": str(row["wave_width"])}
-        out.append(DimensionalRecord(attrs, {
-            "time_s": float(row["edge_s"]),
-            "edge_s": float(row["edge_s"]),
-        }))
-    return out
-
-
-def records_from_chaos(payload: Dict) -> List[DimensionalRecord]:
-    """Flatten a chaos-harness report's per-job rows."""
-    _check_schema(payload, "chaos")
-    rows = payload.get("records")
-    if rows is None:
-        raise ValueError(
-            "chaos report has no per-job 'records' rows — rerun the chaos "
-            "harness with a build that emits them"
-        )
-    out: List[DimensionalRecord] = []
-    for row in rows:
-        attrs = _stringify_attrs(row.get("attributes") or {})
-        category = str(row.get("category", "?"))
-        attrs["category"] = category
-        # "fault" may already be set from the request attributes; the
-        # schedule's category is authoritative for armed-vs-clean.
-        attrs["fault"] = "clean" if category == "healthy" else "armed"
-        attrs["status"] = str(row.get("status"))
-        attrs["cache_hit"] = "hit" if row.get("cache_hit") else "miss"
-        measures = {"ok": 1.0 if row.get("status") == "ok" else 0.0}
-        for name in ("plan_seconds", "wall_seconds", "queue_wait_s",
-                     "attempts"):
-            value = row.get(name)
-            if value is not None:
-                measures[name] = float(value)
-        out.append(DimensionalRecord(attrs, measures))
-    return out
-
-
-def records_from_traffic(payload: Dict) -> List[DimensionalRecord]:
-    """Flatten a ``repro.net.traffic`` report's per-request rows."""
-    _check_schema(payload, "traffic")
-    rows = payload.get("records")
-    if rows is None:
-        raise ValueError(
-            "traffic report has no per-request 'records' rows — write the "
-            "report with --out (records are included there) or "
-            "build_report(..., include_records=True)"
-        )
-    run_attrs = {}
-    for name in ("mix", "arrival", "mode"):
-        if payload.get(name) is not None:
-            run_attrs[name] = str(payload[name])
-    out: List[DimensionalRecord] = []
-    for row in rows:
-        attrs = dict(run_attrs)
-        for name in ("robot", "obstacles", "samples", "deadline"):
-            if row.get(name) is not None:
-                attrs[name] = str(row[name])
-        code = int(row.get("code", 0))
-        attrs["code"] = str(code)
-        attrs["status"] = str(row.get("status"))
-        attrs["cache_hit"] = "hit" if row.get("cache_hit") else "miss"
-        if code in (200, 202):
-            outcome = "served"
-        elif code == 429:
-            outcome = "shed"
-        else:
-            outcome = "error"
-        attrs["outcome"] = outcome
-        measures = {
-            "latency_s": float(row.get("latency_s", 0.0)),
-            "served": 1.0 if outcome == "served" else 0.0,
-            "shed": 1.0 if outcome == "shed" else 0.0,
-            "error": 1.0 if outcome == "error" else 0.0,
-        }
-        out.append(DimensionalRecord(attrs, measures))
-    return out
-
-
-_LOADERS = {
-    "telemetry": records_from_telemetry,
-    "bench": records_from_bench,
-    "chaos": records_from_chaos,
-    "traffic": records_from_traffic,
-}
-
-
-def _sniff_kind(payload: Dict) -> str:
-    """Identify which dump format ``payload`` is."""
-    emitter = payload.get("emitter")
-    if emitter is not None:
-        kind = EMITTERS.get(emitter)
-        if kind is None:
-            raise ValueError(f"unknown dump emitter {emitter!r}")
-        return kind
-    # Legacy (pre-schema) dumps: sniff by structural fingerprint.
-    if "kernels" in payload and ("host" in payload or "mode" in payload):
-        return "bench"
-    if "digest" in payload and "categories" in payload:
-        return "chaos"
-    if "by_code" in payload and "shed_rate" in payload:
-        return "traffic"
-    if "records" in payload and ("latency_s" in payload or "jobs" in payload):
-        return "telemetry"
-    raise ValueError(
-        "cannot identify dump kind: expected a telemetry, bench, chaos, "
-        "or traffic dump (none of their fingerprints matched)"
-    )
-
-
-def load_dump(path) -> Tuple[str, List[DimensionalRecord]]:
-    """Read a JSON dump, sniff its kind, and normalize its rows.
-
-    Returns ``(kind, records)``; raises :class:`ValueError` on unknown or
-    newer-than-supported dumps (the schema satellite: reject, never
-    mis-parse).
-    """
-    payload = json.loads(pathlib.Path(path).read_text())
     if not isinstance(payload, dict):
-        raise ValueError(f"{path}: not a JSON object dump")
-    kind = _sniff_kind(payload)
-    return kind, _LOADERS[kind](payload)
+        raise ValueError("not a JSON object dump")
+    if "records" not in payload and payload.get("emitter", "repro.bench") \
+            == "repro.bench":
+        from repro.bench import bench_dump
+
+        payload = bench_dump(payload)
+    emitter = payload.get("emitter", "an unstamped")
+    if payload.get("records") is None:
+        raise ValueError(
+            f"{emitter} dump has no per-row 'records' to drill into — "
+            "write it with its records (the --out file keeps them)"
+        )
+    schema = payload.get("schema")
+    if schema != DUMP_SCHEMA:
+        if isinstance(schema, int) and schema > DUMP_SCHEMA:
+            why = f"newer than this build reads ({DUMP_SCHEMA})"
+        else:
+            why = "which predates the drill-down row format"
+        raise ValueError(
+            f"{emitter} dump carries schema {schema!r}, {why} — re-dump it "
+            "with a matching build"
+        )
+    if not isinstance(payload.get("emitter"), str) or \
+            not isinstance(payload.get("measure"), str):
+        raise ValueError(
+            f"{emitter} dump lacks its 'emitter' or default 'measure' stamp"
+        )
+    records = []
+    for row in payload["records"]:
+        # The attributes map holds the dimensions; every other top-level
+        # number is a measure (flags such as ``cache_hit`` are not).
+        attrs = {str(k): str(v) for k, v in (row.get("attributes") or {}).items()
+                 if v is not None}
+        measures = {k: float(v) for k, v in row.items()
+                    if isinstance(v, (int, float)) and not isinstance(v, bool)}
+        records.append(DimensionalRecord(attrs, measures))
+    return Dump(payload["emitter"], payload["measure"], records)
+
+
+def load_dump(path) -> Dump:
+    """Read a JSON dump file with :func:`read_dump`."""
+    try:
+        return read_dump(json.loads(pathlib.Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def split_records(
@@ -603,9 +423,16 @@ def analyze(
     general ancestor; surviving findings are ranked by ``score =
     explained × (0.25 + 0.75 × consistency)`` with deterministic
     tie-breaking (shallower slice first, then label order).
+
+    A ``measure`` of the form ``attr=value`` is the indicator of that
+    attribute value: 1.0 on records carrying it, 0.0 on the rest (so
+    ``mean`` of ``outcome=error`` is the error rate).
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; known: {METRICS}")
+    if "=" in measure:
+        baseline = _with_indicator(baseline, measure)
+        candidate = _with_indicator(candidate, measure)
     base_rows = [(i, r) for i, r in enumerate(baseline)
                  if measure in r.measures]
     cand_rows = [(i, r) for i, r in enumerate(candidate)
@@ -695,6 +522,21 @@ def analyze(
     return result
 
 
+def _with_indicator(
+    records: Sequence[DimensionalRecord], measure: str
+) -> List[DimensionalRecord]:
+    """Copies of ``records`` carrying the ``attr=value`` indicator measure."""
+    attr, _, value = measure.partition("=")
+    return [
+        DimensionalRecord(r.attributes, {
+            **r.measures,
+            measure: 1.0 if r.attributes.get(attr.strip()) == value.strip()
+            else 0.0,
+        })
+        for r in records
+    ]
+
+
 def _slice_direction(slice_base, slice_cand, delta: float) -> float:
     """Sign of the slice's own movement (falls back to the overall delta)."""
     if slice_base and slice_cand:
@@ -749,30 +591,6 @@ def _dominated(finding: RcaFinding, kept: Sequence[RcaFinding]) -> bool:
             if other.score + 1e-9 >= finding.score:
                 return True
     return False
-
-
-# -------------------------------------------------------------- bench bridge
-
-
-def analyze_bench_reports(
-    baseline_payload: Dict,
-    candidate_payload: Dict,
-    metric: str = "sum",
-    measure: str = "time_s",
-    top: int = 5,
-) -> RcaResult:
-    """RCA over two ``repro.bench`` reports (baseline vs candidate).
-
-    The default ``sum(time_s)`` decomposes the total wall-time delta
-    exactly across (section × kernel × dim × size / case) cells, so a
-    perf-gate failure names the offending cell(s).  Cells present in only
-    one report still surface (as vanished/new slices).
-    """
-    return analyze(
-        records_from_bench(baseline_payload),
-        records_from_bench(candidate_payload),
-        measure=measure, metric=metric, top=top, min_support=1,
-    )
 
 
 # -------------------------------------------------------------------- smoke
@@ -834,7 +652,8 @@ def rca_smoke(out: Optional[str] = None, log=print) -> int:
        p95 delta.
     2. **Bench gate**: a doctored candidate bench report with one kernel
        cell slowed 3× must fail :func:`repro.bench.compare_to_baseline`,
-       and :func:`analyze_bench_reports` must rank that cell #1.
+       and :func:`repro.bench.analyze_bench_reports` must rank that cell
+       #1.
 
     Writes the machine report to ``out`` when given; returns 0 on success,
     1 with a diagnostic when either case mis-ranks.
@@ -857,7 +676,7 @@ def rca_smoke(out: Optional[str] = None, log=print) -> int:
 
     # Bench-gate case: a planted kernel-cell regression must both trip the
     # gate and be named by the drill-down.
-    from repro.bench import compare_to_baseline
+    from repro.bench import analyze_bench_reports, compare_to_baseline
 
     def bench_report(slow: bool) -> Dict:
         kernels = []

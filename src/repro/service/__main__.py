@@ -5,15 +5,17 @@ Usage::
     python -m repro.service --jobs 8 --workers 4 --samples 400
     python -m repro.service --jobs 8 --duplicate 2          # show cache hits
     python -m repro.service --jobs 8 --inject hang:2 --timeout 1.0
+    python -m repro.service --jobs 4 --portfolio connect,wave
     python -m repro.service --tasks suite.json --out telemetry.json
     python -m repro.service --jobs 4 --trace trace.json --metrics m.prom
 
 Generates ``--jobs`` seeded tasks (or loads a suite from ``--tasks``), runs
-them through :class:`~repro.service.runner.PlanningService`, and prints the
-telemetry summary as JSON: job/status counts, cache hit-rate, p50/p95 plan
-latency and queue wait, and MAC-level op totals.  Exit code 0 when every
-job finished ``ok``, 2 when some jobs failed (the service itself survives
-worker timeouts and crashes by design).
+them through :class:`~repro.service.runner.PlanningService`, prints one
+line per job on stderr (status, cost, cache hit, race winner) and the
+telemetry summary as JSON on stdout: job/status counts, cache hit-rate,
+p50/p95 plan latency and queue wait, and MAC-level op totals.  Exit code 0
+when every job finished ``ok`` or ``degraded``, 2 when some jobs failed
+(the service itself survives worker timeouts and crashes by design).
 """
 
 from __future__ import annotations
@@ -55,6 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--deadline", type=float, default=None, metavar="S",
                         help="anytime-planning deadline per job; expired "
                              "budgets return 'degraded' best-so-far results")
+    parser.add_argument("--mode", default="rrtstar",
+                        choices=("rrtstar", "connect"),
+                        help="planning algorithm: optimizing RRT* (default) "
+                             "or bidirectional RRT-Connect")
+    parser.add_argument("--portfolio", default=None, metavar="NAMES",
+                        help="race each job across a comma-separated planner "
+                             "portfolio (connect,rrtstar,wave,informed or "
+                             "'auto'); first feasible answer wins, losers "
+                             "are cancelled")
     parser.add_argument("--fault-plan", default=None, metavar="SPEC",
                         help="repro.faults plan installed in every worker, "
                              "e.g. 'worker.plan:error@0.2;worker.send:corrupt"
@@ -114,6 +125,12 @@ def main(argv: Optional[list] = None) -> int:
         tasks=tasks,
         trace=observing,
         deadline_s=args.deadline,
+        mode=args.mode,
+        portfolio=(
+            tuple(name.strip() for name in args.portfolio.split(",")
+                  if name.strip())
+            if args.portfolio else None
+        ),
     )
 
     fault_plan = None
@@ -153,6 +170,18 @@ def main(argv: Optional[list] = None) -> int:
         if args.metrics:
             obs.get_registry().export(args.metrics)
 
+    for response in responses:
+        cost = "-" if response.path_cost is None else f"{response.path_cost:.2f}"
+        tag = " cache" if response.cache_hit else ""
+        if response.race:
+            tag += (f" race[{'+'.join(response.race['planners'])}] "
+                    f"winner={response.race['winner']} "
+                    f"cancelled={response.race['cancelled']}")
+        status = response.status
+        if response.degraded_reason:
+            status += f" ({response.degraded_reason})"
+        print(f"{response.request_id}: {status} "
+              f"success={response.success} cost={cost}{tag}", file=sys.stderr)
     print(json.dumps(summary, indent=2))
     return 0 if all(r.status in ("ok", "degraded") for r in responses) else 2
 

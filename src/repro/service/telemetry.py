@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.counters import OpCounter
+from repro.obs.rca import DUMP_SCHEMA
 from repro.obs.stats import axis_summary as _axis_summary
 from repro.obs.stats import percentile  # re-export: the one shared impl
 from repro.service.jobs import Job
@@ -43,8 +44,9 @@ __all__ = [
 
 #: Version stamp written into every dump so downstream consumers (e.g.
 #: ``repro.obs.rca``) can reject or upgrade mismatched dumps instead of
-#: mis-parsing them.  Bump when the dump shape changes incompatibly.
-TELEMETRY_SCHEMA = 1
+#: mis-parsing them: the drill-down row format's version (rows are
+#: :meth:`JobRecord.to_dict`).
+TELEMETRY_SCHEMA = DUMP_SCHEMA
 TELEMETRY_EMITTER = "repro.service.telemetry"
 
 
@@ -116,7 +118,16 @@ class JobRecord:
     attributes: Dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
-        return asdict(self)
+        """The drill-down row (see :mod:`repro.obs.rca`): every field, with
+        the status and the cache outcome (``hit``/``miss``) also in
+        ``attributes``, so RCA can slice on them."""
+        row = asdict(self)
+        row["attributes"] = {
+            **self.attributes,
+            "status": self.status,
+            "cache_hit": "hit" if self.cache_hit else "miss",
+        }
+        return row
 
 
 def record_from_job(job: Job, request=None) -> JobRecord:
@@ -265,9 +276,11 @@ class TelemetrySink:
 
         The ``schema`` / ``emitter`` stamps let consumers such as
         ``repro.obs.rca`` verify they are parsing the dump shape they
-        expect and reject newer or foreign dumps outright.
+        expect and reject newer or foreign dumps outright; ``measure``
+        names the row measure RCA analyzes by default.
         """
         summary_kwargs.setdefault("include_records", True)
-        payload = {"schema": TELEMETRY_SCHEMA, "emitter": TELEMETRY_EMITTER}
+        payload = {"schema": TELEMETRY_SCHEMA, "emitter": TELEMETRY_EMITTER,
+                   "measure": "plan_seconds"}
         payload.update(self.summary(**summary_kwargs))
         pathlib.Path(path).write_text(json.dumps(payload, indent=2))

@@ -79,14 +79,15 @@ class TestRunChaos:
         # Drill-down wiring: the report is schema-stamped and carries one
         # category-tagged telemetry row per job, so repro.obs.rca can
         # attribute fault-induced tail latency to its fault site.
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["emitter"] == "repro.faults.chaos"
         assert len(payload["records"]) == 12
-        categories = {row["category"] for row in payload["records"]}
+        categories = {row["attributes"]["category"]
+                      for row in payload["records"]}
         assert categories <= set(report.categories)
-        from repro.obs.rca import records_from_chaos
+        from repro.obs.rca import read_dump
 
-        rows = records_from_chaos(payload)
+        rows = read_dump(payload).records
         assert len(rows) == 12
         assert {r.attributes["fault"] for r in rows} <= {"clean", "armed"}
 

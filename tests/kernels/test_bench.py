@@ -192,6 +192,38 @@ class TestWaveGate:
         assert len(compare_to_baseline(now, base, factor=2.0)) == 2
 
 
+class TestEverySectionGate:
+    """compare_to_baseline gates each timed section the same way."""
+
+    SECTIONS = {
+        "kernels": (entry(batch_s=1e-4), "batch_s", "size",
+                    "obb_obb_grid dim=3 size=18x32: 0.000300s vs baseline "
+                    "0.000100s (> 2.0x)"),
+        "wave": ({"case": "c", "wave_width": 8, "max_samples": 600,
+                  "wave_s": 0.1}, "wave_s", "max_samples",
+                 "wave c W=8: 0.3000s vs baseline 0.1000s (> 2.0x)"),
+        "edge": ({"case": "c", "wave_width": 8, "edges": 192,
+                  "edge_s": 0.1}, "edge_s", "edges",
+                 "edge c W=8: 0.3000s vs baseline 0.1000s (> 2.0x)"),
+        "connect": ({"case": "c", "wave_width": 8, "max_samples": 600,
+                     "connect_s": 0.1}, "connect_s", "max_samples",
+                    "connect c W=8: 0.3000s vs baseline 0.1000s (> 2.0x)"),
+    }
+
+    @pytest.mark.parametrize("section", sorted(SECTIONS))
+    def test_three_times_slower_fails_and_unmatched_key_is_skipped(
+        self, section
+    ):
+        base_entry, time_field, key_field, message = self.SECTIONS[section]
+        slow = dict(base_entry, **{time_field: 3 * base_entry[time_field]})
+        base = {"schema": 1, section: [base_entry]}
+        assert compare_to_baseline({"schema": 1, section: [slow]}, base,
+                                   factor=2.0) == [message]
+        unmatched = dict(slow, **{key_field: "other"})
+        assert compare_to_baseline({"schema": 1, section: [unmatched]},
+                                   base, factor=2.0) == []
+
+
 class TestWaveBaselineFile:
     def test_committed_wave_baseline_is_valid(self):
         from repro.bench import WAVE_SAMPLES, WAVE_SUITE

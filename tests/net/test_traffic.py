@@ -156,8 +156,9 @@ class TestBuildReport(unittest.TestCase):
     def test_report_is_schema_stamped(self):
         report = build_report(_result([_record(200)]),
                               TrafficConfig(mode="closed"))
-        self.assertEqual(report["schema"], 1)
+        self.assertEqual(report["schema"], 2)
         self.assertEqual(report["emitter"], "repro.net.traffic")
+        self.assertEqual(report["measure"], "latency_s")
 
     def test_include_records_carries_per_request_rows(self):
         records = [_record(200), _record(429)]
@@ -166,7 +167,8 @@ class TestBuildReport(unittest.TestCase):
         self.assertNotIn("records", compact)
         full = build_report(_result(records), config, include_records=True)
         self.assertEqual(len(full["records"]), 2)
-        self.assertEqual(full["records"][0]["code"], 200)
+        self.assertEqual(full["records"][0]["attributes"]["code"], "200")
+        self.assertEqual(full["records"][1]["attributes"]["outcome"], "shed")
 
     def test_request_records_carry_workload_attributes(self):
         # The drill-down satellite: per-request rows must name the robot /

@@ -1,29 +1,31 @@
-"""Root-cause drill-down analytics: loaders, search core, CLI, smoke.
+"""Root-cause drill-down analytics: loader, search core, CLI, smoke.
 
 The acceptance contract for ``repro.obs.rca``: on a fixture with a known
 planted regression slice, the analyzer ranks exactly that attribute
-combination #1, deterministically; dumps with mismatched schema/emitter
-stamps are rejected instead of mis-parsed; and the CLI round-trips the
-machine report.
+combination #1, deterministically; the one loader reads what every
+emitter really writes, and rejects dumps with mismatched schema/emitter
+stamps instead of mis-parsing them; and the CLI round-trips the machine
+report.
 """
 
 import json
+import pathlib
+import threading
 
 import pytest
 
 from repro.obs.rca import (
+    DUMP_SCHEMA,
     DimensionalRecord,
     analyze,
-    analyze_bench_reports,
     load_dump,
     rca_smoke,
-    records_from_bench,
-    records_from_chaos,
-    records_from_telemetry,
-    records_from_traffic,
+    read_dump,
     render_smoke_fixture,
     split_records,
 )
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
 def _cell(attrs, value, n, measure="latency_s"):
@@ -138,128 +140,218 @@ class TestSplit:
             split_records(_cell({"a": "b"}, 1.0, 2), "nonsense")
 
 
-class TestLoaders:
-    def _telemetry_payload(self, schema=1):
-        payload = {
-            "emitter": "repro.service.telemetry",
-            "jobs": 2,
-            "records": [
-                {"status": "ok", "cache_hit": False, "plan_seconds": 0.5,
-                 "wall_seconds": 0.6, "queue_wait_s": 0.01,
-                 "attributes": {"robot": "xarm7", "wave_width": "8"}},
-                {"status": "ok", "cache_hit": True, "plan_seconds": 0.0,
-                 "wall_seconds": 0.001,
-                 "attributes": {"robot": "rozum", "wave_width": "1"}},
-            ],
+@pytest.fixture(scope="module")
+def telemetry_dump(tmp_path_factory):
+    """A real ``repro.service --out`` dump: two jobs submitted twice, so
+    the second pass is served from the cache."""
+    from repro.service import PlanningService, build_requests
+
+    path = tmp_path_factory.mktemp("telemetry") / "telemetry.json"
+    requests = build_requests(jobs=2, samples=60, obstacles=6, duplicate=2)
+    with PlanningService(num_workers=0) as service:
+        service.run_batch(requests)
+        service.telemetry.dump(path, cache_stats=service.cache.stats())
+    return json.loads(path.read_text())
+
+
+@pytest.fixture(scope="module")
+def chaos_dump():
+    """A real chaos report (``ChaosReport.to_dict``) of a small run."""
+    from repro.faults.chaos import run_chaos
+
+    return run_chaos(seed=0, jobs=12, workers=2,
+                     log=lambda *_: None).to_dict()
+
+
+class _FakeClient:
+    """Answers ``POST /plan`` with a fixed (code, body), like a server."""
+
+    def __init__(self, code, body):
+        self.code, self.body = code, body
+
+    def request(self, method, path, payload):
+        return self.code, self.body
+
+
+def _traffic_dump():
+    """A real ``repro.net.traffic`` report: records made by the load
+    generator's own per-request path against canned server answers (two
+    served, one shed, one 500 error)."""
+    from repro.net.traffic import (
+        TrafficConfig,
+        TrafficResult,
+        _one_request,
+        build_report,
+    )
+
+    config = TrafficConfig(mode="closed", mix="smoke", arrival="burst")
+    result = TrafficResult(started_at=0.0, finished_at=1.0)
+    lock = threading.Lock()
+    answers = [
+        (200, {"status": "ok", "cache_hit": True}),
+        (200, {"status": "ok", "cache_hit": False}),
+        (429, {"error": "overloaded"}),
+        (500, {"status": "error"}),
+    ]
+    for i, (code, body) in enumerate(answers):
+        spec = {"robot": "mobile2d", "obstacles": 8, "samples": 60,
+                "seed": i, "deadline_s": 0.05 if i == 3 else None}
+        _one_request([_FakeClient(code, body)], spec, result, lock, config)
+    return build_report(result, config, include_records=True)
+
+
+def _write(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return path
+
+
+class TestLoader:
+    def test_telemetry_dump_rows(self, telemetry_dump):
+        dump = read_dump(telemetry_dump)
+        assert (dump.emitter, dump.measure) == \
+            ("repro.service.telemetry", "plan_seconds")
+        assert len(dump.records) == 4
+        first = dump.records[0]
+        assert first.attributes["robot"] == "mobile2d"
+        assert first.attributes["status"] == "ok"
+        assert {r.attributes["cache_hit"] for r in dump.records} == \
+            {"hit", "miss"}
+        for name in ("plan_seconds", "wall_seconds", "queue_wait_s",
+                     "total_macs", "samples", "attempts"):
+            assert name in first.measures
+        # Labels and flags are attributes, never measures.
+        assert "cache_hit" not in first.measures
+        assert "success" not in first.measures
+
+    def test_chaos_rows_split_armed_vs_clean(self, chaos_dump):
+        dump = read_dump(chaos_dump)
+        assert (dump.emitter, dump.measure) == \
+            ("repro.faults.chaos", "wall_seconds")
+        assert len(dump.records) == 12
+        for record, row in zip(dump.records, chaos_dump["records"]):
+            category = record.attributes["category"]
+            assert category == row["attributes"]["category"]
+            assert record.attributes["fault"] == \
+                ("clean" if category == "healthy" else "armed")
+            assert record.attributes["cache_hit"] in ("hit", "miss")
+            assert record.attributes["status"] == row["status"]
+        baseline, candidate = split_records(dump.records, "fault=clean")
+        assert len(baseline) + len(candidate) == 12
+
+    def test_traffic_rows_carry_outcome_and_run_labels(self):
+        dump = read_dump(_traffic_dump())
+        assert (dump.emitter, dump.measure) == \
+            ("repro.net.traffic", "latency_s")
+        outcomes = [r.attributes["outcome"] for r in dump.records]
+        assert outcomes == ["served", "served", "shed", "error"]
+        first = dump.records[0].attributes
+        assert first["robot"] == "mobile2d" and first["obstacles"] == "8"
+        assert (first["mix"], first["arrival"], first["mode"]) == \
+            ("smoke", "burst", "closed")
+        assert first["code"] == "200" and first["cache_hit"] == "hit"
+        assert dump.records[3].attributes["deadline"] == "armed"
+        assert set(dump.records[0].measures) == {"latency_s", "attempt"}
+
+    def test_outcome_indicator_matches_the_error_rate(self):
+        report = _traffic_dump()
+        records = read_dump(report).records
+        result = analyze(records[:2], records, measure="outcome=error",
+                         metric="mean")
+        # The indicator's mean is what the old per-kind ``error`` measure
+        # (1.0 on non-200/202/429 codes, else 0.0) averaged to.
+        old_error = [0.0 if r["attributes"]["code"] in ("200", "202", "429")
+                     else 1.0 for r in report["records"]]
+        assert result.candidate_value == sum(old_error) / len(old_error)
+        assert result.candidate_value == report["error_rate"] == 0.25
+        assert result.baseline_value == 0.0
+
+    def test_bench_report_rows(self, monkeypatch):
+        # A report of run_benchmarks' own shape and stamps, its timed
+        # sections taken from the committed baselines instead of re-timed.
+        import repro.bench as bench
+
+        def committed(name, key):
+            text = (REPO / "benchmarks" / name).read_text()
+            return json.loads(text)[key]
+
+        sections = {
+            "bench_kernels": committed("BENCH_baseline.json", "kernels"),
+            "bench_end_to_end": committed("BENCH_baseline.json",
+                                          "end_to_end"),
+            "bench_wave": committed("BENCH_wave.json", "wave"),
+            "bench_edge": committed("BENCH_edge.json", "edge"),
+            "bench_connect": committed("BENCH_connect.json", "connect"),
         }
-        if schema is not None:
-            payload["schema"] = schema
-        return payload
+        for name, entries in sections.items():
+            monkeypatch.setattr(bench, name,
+                                lambda *a, entries=entries, **k: entries)
+        report = bench.run_benchmarks(wave=True, edge=True, connect=True)
+        dump = read_dump(report)
+        assert (dump.emitter, dump.measure) == ("repro.bench", "time_s")
+        labels = [r.attributes["section"] for r in dump.records]
+        assert set(labels) == {"kernel", "e2e", "wave", "edge", "connect"}
+        assert len(labels) == sum(len(e) for e in sections.values())
+        by_section = {r.attributes["section"]: r for r in dump.records}
+        for section, field in (("kernel", "batch_s"), ("e2e", "batch_s"),
+                               ("wave", "wave_s"), ("edge", "edge_s"),
+                               ("connect", "connect_s")):
+            record = by_section[section]
+            assert record.measures["time_s"] == record.measures[field]
+        kernel = by_section["kernel"].attributes
+        assert set(kernel) == {"section", "kernel", "dim", "size"}
+        assert by_section["wave"].attributes["wave_width"] == "8"
 
-    def test_telemetry_rows_carry_attributes_and_measures(self):
-        records = records_from_telemetry(self._telemetry_payload())
-        assert len(records) == 2
-        assert records[0].attributes["robot"] == "xarm7"
-        assert records[0].attributes["cache_hit"] == "miss"
-        assert records[1].attributes["cache_hit"] == "hit"
-        assert records[0].measures["plan_seconds"] == 0.5
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in (REPO / "benchmarks").glob("BENCH_*.json")
+    ))
+    def test_every_committed_bench_report_loads(self, name):
+        dump = load_dump(REPO / "benchmarks" / name)
+        assert dump.emitter == "repro.bench" and dump.records
+        assert all("time_s" in r.measures for r in dump.records)
 
-    def test_newer_schema_rejected(self):
+    @pytest.mark.parametrize("emitter", ["chaos", "traffic"])
+    def test_schema_1_dump_is_rejected_naming_its_emitter(
+        self, emitter, chaos_dump
+    ):
+        payload = dict(chaos_dump if emitter == "chaos" else _traffic_dump())
+        payload["schema"] = 1
+        with pytest.raises(ValueError, match=payload["emitter"]) as info:
+            read_dump(payload)
+        assert "predates" in str(info.value)
+
+    def test_newer_schema_rejected(self, telemetry_dump):
+        payload = dict(telemetry_dump, schema=DUMP_SCHEMA + 1)
+        with pytest.raises(ValueError, match="newer"):
+            read_dump(payload)
+
+    def test_newer_bench_schema_rejected(self):
+        report = json.loads(
+            (REPO / "benchmarks" / "BENCH_baseline.json").read_text()
+        )
+        report["schema"] = 99
         with pytest.raises(ValueError, match="schema 99"):
-            records_from_telemetry(self._telemetry_payload(schema=99))
+            read_dump(report)
 
-    def test_legacy_unstamped_dump_accepted(self):
-        payload = self._telemetry_payload(schema=None)
-        del payload["emitter"]
-        assert len(records_from_telemetry(payload)) == 2
-
-    def test_wrong_emitter_rejected(self):
-        payload = self._telemetry_payload()
-        payload["emitter"] = "repro.net.traffic"
-        with pytest.raises(ValueError, match="traffic"):
-            records_from_telemetry(payload)
-
-    def test_records_required(self):
+    def test_records_required(self, telemetry_dump):
+        payload = {k: v for k, v in telemetry_dump.items() if k != "records"}
         with pytest.raises(ValueError, match="records"):
-            records_from_telemetry({"schema": 1, "jobs": 3})
+            read_dump(payload)
 
-    def test_bench_sections_flatten_to_time_s(self):
-        payload = {
-            "schema": 1, "mode": "quick",
-            "kernels": [{"kernel": "k", "dim": 3, "size": "64",
-                         "batch_s": 0.001, "reference_s": 0.01}],
-            "end_to_end": [{"case": "c", "robot": "rozum", "obstacles": 32,
-                            "variant": "v", "batch_s": 1.0,
-                            "reference_s": 4.0}],
-            "wave": [{"case": "c", "robot": "rozum", "obstacles": 32,
-                      "variant": "v", "wave_width": 8, "wave_s": 0.5,
-                      "scalar_s": 1.0}],
-        }
-        records = records_from_bench(payload)
-        assert [r.attributes["section"] for r in records] == \
-            ["kernel", "e2e", "wave"]
-        assert [r.measures["time_s"] for r in records] == [0.001, 1.0, 0.5]
+    def test_measure_stamp_required(self, telemetry_dump):
+        payload = {k: v for k, v in telemetry_dump.items() if k != "measure"}
+        with pytest.raises(ValueError, match="measure"):
+            read_dump(payload)
 
-    def test_traffic_rows_get_outcome_and_workload_attrs(self):
-        payload = {
-            "schema": 1, "emitter": "repro.net.traffic", "mix": "smoke",
-            "arrival": "burst", "by_code": {}, "shed_rate": 0.0,
-            "records": [
-                {"code": 200, "status": "ok", "latency_s": 0.05,
-                 "cache_hit": True, "robot": "mobile2d", "samples": 60},
-                {"code": 429, "status": None, "latency_s": 0.001},
-                {"code": 500, "status": "error", "latency_s": 0.2},
-            ],
-        }
-        records = records_from_traffic(payload)
-        assert records[0].attributes["outcome"] == "served"
-        assert records[0].attributes["robot"] == "mobile2d"
-        assert records[0].attributes["mix"] == "smoke"
-        assert records[1].attributes["outcome"] == "shed"
-        assert records[2].attributes["outcome"] == "error"
-        assert records[2].measures["error"] == 1.0
-
-    def test_chaos_rows_split_armed_vs_clean(self):
-        payload = {
-            "schema": 1, "emitter": "repro.faults.chaos",
-            "records": [
-                {"category": "healthy", "status": "ok", "cache_hit": False,
-                 "wall_seconds": 0.1, "attributes": {"robot": "mobile2d"}},
-                {"category": "hang", "status": "timeout", "cache_hit": False,
-                 "wall_seconds": 0.5, "attributes": {"robot": "mobile2d"}},
-            ],
-        }
-        records = records_from_chaos(payload)
-        assert records[0].attributes["fault"] == "clean"
-        assert records[1].attributes["fault"] == "armed"
-        baseline, candidate = split_records(records, "fault=clean")
-        assert len(baseline) == len(candidate) == 1
-
-    def test_load_dump_sniffs_each_kind(self, tmp_path):
-        dumps = {
-            "telemetry": self._telemetry_payload(),
-            "bench": {"schema": 1, "mode": "quick", "host": {},
-                      "kernels": [], "end_to_end": [], "wave": []},
-            "chaos": {"schema": 1, "emitter": "repro.faults.chaos",
-                      "digest": "x", "categories": {}, "records": []},
-            "traffic": {"schema": 1, "emitter": "repro.net.traffic",
-                        "by_code": {}, "shed_rate": 0.0, "records": []},
-        }
-        for kind, payload in dumps.items():
-            path = tmp_path / f"{kind}.json"
-            path.write_text(json.dumps(payload))
-            sniffed, _ = load_dump(path)
-            assert sniffed == kind
-
-    def test_load_dump_rejects_unidentifiable(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text(json.dumps({"foo": 1}))
-        with pytest.raises(ValueError, match="cannot identify"):
-            load_dump(path)
+    def test_unidentifiable_dump_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="junk.json.*not a repro.bench"):
+            load_dump(_write(tmp_path, "junk.json", {"foo": 1}))
 
 
 class TestBenchBridge:
     def test_bench_gate_failure_names_the_cell(self):
+        from repro.bench import analyze_bench_reports
+
         def report(slow):
             kernels = []
             for kernel in ("a", "b"):
@@ -280,6 +372,11 @@ class TestBenchBridge:
         assert top.explained_fraction == pytest.approx(1.0)
 
 
+def _row_dump(rows, measure="plan_seconds"):
+    return {"schema": DUMP_SCHEMA, "emitter": "repro.service.telemetry",
+            "measure": measure, "records": rows}
+
+
 class TestCliAndSmoke:
     def test_rca_smoke_passes_and_writes_artifact(self, tmp_path):
         out = tmp_path / "rca-report.json"
@@ -296,17 +393,9 @@ class TestCliAndSmoke:
         baseline, candidate = render_smoke_fixture(per_cell=4)
 
         def dump(records, name):
-            rows = []
-            for r in records:
-                rows.append({"status": "ok", "cache_hit": False,
-                             "plan_seconds": r.measures["plan_seconds"],
-                             "attributes": r.attributes})
-            path = tmp_path / name
-            path.write_text(json.dumps({
-                "schema": 1, "emitter": "repro.service.telemetry",
-                "jobs": len(rows), "records": rows,
-            }))
-            return str(path)
+            rows = [{"plan_seconds": r.measures["plan_seconds"],
+                     "attributes": r.attributes} for r in records]
+            return str(_write(tmp_path, name, _row_dump(rows)))
 
         out = tmp_path / "rca.json"
         code = main(["rca", dump(baseline, "base.json"),
@@ -330,14 +419,9 @@ class TestCliAndSmoke:
             ("armed", "mobile2d", 0.4), ("armed", "xarm7", 0.1),
         ):
             for _ in range(4):
-                rows.append({"status": "ok", "cache_hit": False,
-                             "wall_seconds": latency,
+                rows.append({"wall_seconds": latency,
                              "attributes": {"fault": fault, "robot": robot}})
-        path = tmp_path / "dump.json"
-        path.write_text(json.dumps({
-            "schema": 1, "emitter": "repro.service.telemetry",
-            "jobs": len(rows), "records": rows,
-        }))
+        path = _write(tmp_path, "dump.json", _row_dump(rows))
         code = main(["rca", str(path), "--split", "fault=clean",
                      "--measure", "wall_seconds", "--metric", "mean"])
         assert code == 0
@@ -350,18 +434,24 @@ class TestCliAndSmoke:
         code = main(["rca", "a.json", "b.json", "--split", "x=y"])
         assert code == 2
 
-    def test_cli_rejects_mismatched_kinds(self, tmp_path, capsys):
+    def test_cli_rejects_mismatched_emitters(self, tmp_path, capsys):
         from repro.obs.__main__ import main
 
-        t = tmp_path / "t.json"
-        t.write_text(json.dumps({
-            "schema": 1, "emitter": "repro.service.telemetry",
-            "jobs": 0, "records": [],
-        }))
-        b = tmp_path / "b.json"
-        b.write_text(json.dumps({"schema": 1, "mode": "quick", "host": {},
-                                 "kernels": [], "end_to_end": [],
-                                 "wave": []}))
+        t = _write(tmp_path, "t.json", _row_dump([]))
+        b = REPO / "benchmarks" / "BENCH_baseline.json"
         code = main(["rca", str(t), str(b)])
         assert code == 2
-        assert "kinds differ" in capsys.readouterr().err
+        assert "emitters differ" in capsys.readouterr().err
+
+    def test_cli_auto_measure_is_the_stamped_one(self, tmp_path, capsys):
+        from repro.obs.__main__ import main
+
+        chaos = _write(tmp_path, "chaos.json", _row_dump(
+            [{"wall_seconds": 0.1, "attributes": {"fault": "clean"}},
+             {"wall_seconds": 0.5, "attributes": {"fault": "armed"}}],
+            measure="wall_seconds",
+        ))
+        code = main(["rca", str(chaos), "--split", "fault=clean", "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["measure"] == \
+            "wall_seconds"

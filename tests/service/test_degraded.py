@@ -112,16 +112,18 @@ class TestCliDeadline:
         out = capsys.readouterr().out
         assert "degraded: deadline" in out
 
-    def test_batch_deadline_exits_zero_with_degraded(self, capsys, tmp_path):
-        from repro.cli import main
 
-        out_file = tmp_path / "summary.json"
+class TestServiceDeadline:
+    def test_batch_deadline_exits_zero_with_degraded(self, capsys, tmp_path):
+        from repro.service.__main__ import main
+
+        out_file = tmp_path / "telemetry.json"
         code = main(["--jobs", "2", "--workers", "0", "--samples", "50000",
-                     "--seed", "1", "--deadline", "0.05",
+                     "--obstacles", "16", "--seed", "1", "--deadline", "0.05",
                      "--out", str(out_file)])
         assert code == 0
-        data = json.loads(out_file.read_text())
-        statuses = {r["status"] for r in data["responses"]}
-        assert statuses == {"degraded"}
-        assert all(r["degraded_reason"] == "deadline"
-                   for r in data["responses"])
+        rows = json.loads(out_file.read_text())["records"]
+        assert len(rows) == 2
+        assert {row["status"] for row in rows} == {"degraded"}
+        err = capsys.readouterr().err
+        assert err.count("degraded (deadline)") == 2

@@ -124,32 +124,15 @@ class TestBuildRequests:
 
 
 class TestCliBatchMode:
-    def test_jobs_flag_routes_through_pool(self, capsys):
+    def test_jobs_flag_is_rejected(self, capsys):
+        # Batches go through ``python -m repro.service``; the one-shot CLI
+        # has no batch flags left.
         from repro.cli import main
 
-        code = main(["--jobs", "8", "--workers", "2", "--samples", "60",
-                     "--obstacles", "6", "--duplicate", "2"])
-        out = capsys.readouterr().out
-        assert code == 0
-        summary = json.loads(out[out.index("{"):])
-        assert summary["jobs"] == 16 and summary["ok"] == 16
-        assert summary["cache"]["hit_rate"] > 0.0
-        assert summary["latency_s"]["plan"]["p50"] is not None
-        assert summary["latency_s"]["plan"]["p95"] is not None
-        assert "job-000: ok" in out
-
-    def test_jobs_flag_survives_injected_timeout(self, capsys):
-        from repro.cli import main
-
-        code = main(["--jobs", "4", "--workers", "2", "--samples", "60",
-                     "--obstacles", "6", "--inject", "hang:1",
-                     "--job-timeout", "0.5"])
-        out = capsys.readouterr().out
-        assert code == 1  # failure reported, service survived
-        summary = json.loads(out[out.index("{"):])
-        assert summary["failed"] == {"timeout": 1}
-        assert summary["ok"] == 3
-        assert summary["workers"]["restarts"] == 1
+        with pytest.raises(SystemExit) as info:
+            main(["--jobs", "1"])
+        assert info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_one_shot_path_unchanged(self, capsys):
         from repro.cli import main
@@ -174,6 +157,60 @@ class TestServiceMain:
         assert summary["cache"]["hits"] == 4
         payload = json.loads(out_file.read_text())
         assert len(payload["records"]) == 8
+
+    def test_jobs_route_through_pool(self, capsys):
+        from repro.service.__main__ import main
+
+        code = main(["--jobs", "8", "--workers", "2", "--samples", "60",
+                     "--obstacles", "6", "--duplicate", "2"])
+        captured = capsys.readouterr()
+        assert code == 0
+        summary = json.loads(captured.out)
+        assert summary["jobs"] == 16 and summary["ok"] == 16
+        assert summary["cache"]["hit_rate"] > 0.0
+        assert summary["latency_s"]["plan"]["p50"] is not None
+        assert summary["latency_s"]["plan"]["p95"] is not None
+        assert "job-000: ok" in captured.err
+
+    def test_jobs_survive_injected_timeout(self, capsys):
+        from repro.service.__main__ import main
+
+        code = main(["--jobs", "4", "--workers", "2", "--samples", "60",
+                     "--obstacles", "6", "--inject", "hang:1",
+                     "--timeout", "0.5"])
+        assert code == 2  # failure reported, service survived
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["failed"] == {"timeout": 1}
+        assert summary["ok"] == 3
+        assert summary["workers"]["restarts"] == 1
+
+    def test_portfolio_names_a_winner_per_job(self, capsys):
+        from repro.service.__main__ import main
+
+        code = main(["--jobs", "2", "--workers", "2", "--samples", "60",
+                     "--obstacles", "6", "--portfolio", "connect,wave"])
+        captured = capsys.readouterr()
+        assert code == 0
+        lines = [line for line in captured.err.splitlines()
+                 if line.startswith("job-")]
+        assert len(lines) == 2
+        for line in lines:
+            assert "race[connect+wave]" in line
+            winner = line.split("winner=")[1].split()[0]
+            assert winner in ("connect", "wave")
+        summary = json.loads(captured.out)
+        assert summary["jobs"] == 4  # every race member is a job
+
+    def test_mode_flag_plans_with_connect(self, tmp_path, capsys):
+        from repro.service.__main__ import main
+
+        out_file = tmp_path / "telemetry.json"
+        code = main(["--jobs", "2", "--workers", "0", "--samples", "60",
+                     "--obstacles", "6", "--mode", "connect",
+                     "--out", str(out_file)])
+        assert code == 0
+        rows = json.loads(out_file.read_text())["records"]
+        assert {row["attributes"]["mode"] for row in rows} == {"connect"}
 
     def test_module_entry_reports_failures(self, capsys):
         from repro.service.__main__ import main

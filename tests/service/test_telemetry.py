@@ -97,8 +97,13 @@ class TestSummary:
         path = tmp_path / "telemetry.json"
         sink.dump(path)
         payload = json.loads(path.read_text())
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["emitter"] == "repro.service.telemetry"
+        assert payload["measure"] == "plan_seconds"
+        # Drill-down rows: status and cache outcome are labels too.
+        attributes = payload["records"][0]["attributes"]
+        assert attributes["status"] == "ok"
+        assert attributes["cache_hit"] == "miss"
 
     def test_empty_sink_summary(self):
         summary = TelemetrySink().summary()
