@@ -2,14 +2,17 @@
 
 Times the vectorized kernels of :mod:`repro.kernels.batch` against the
 scalar golden implementations of :mod:`repro.kernels.reference`, and whole
-planner runs with ``kernels="batch"`` against ``kernels="reference"``,
-asserting bit-identical results while measuring the speedup.
+planner runs (batch vs reference kernels, wide vs one-sample waves,
+whole-edge validation, RRT-Connect vs wave RRT*, portfolio races, the
+fault hooks), asserting bit-identical results while measuring the speedup.
 
-Run it as ``python -m repro.bench``; results land in ``BENCH_kernels.json``
-(a stable, CI-diffable schema).  ``--check`` compares against a committed
-baseline (``benchmarks/BENCH_baseline.json``) and exits non-zero when any
-kernel's batch time regresses by more than the allowed factor, which is how
-CI guards the hot paths.  See ``docs/performance.md``.
+Every section is one row of :data:`SECTIONS`.  ``python -m repro.bench``
+runs each once (``--section`` picks some) into ``BENCH_kernels.json`` (a
+stable, CI-diffable schema).  ``--check`` gates each entry against the
+fastest time for its key over every committed ``benchmarks/BENCH_*.json``
+and exits non-zero when one is more than ``REGRESSION_FACTOR`` slower, or
+when the disabled fault hooks exceed their budget; that is how CI guards
+the hot paths.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import json
 import platform
 import statistics
 import time
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -191,8 +195,8 @@ E2E_SUITE = (
 def bench_end_to_end(quick: bool = False, seed: int = 3) -> List[Dict]:
     """Time full planner runs under both kernel backends.
 
-    Asserts the two backends produce bit-identical paths, costs, and
-    operation-counter totals before reporting wall times — a perf number for
+    Asserts the two backends produce bit-identical plans
+    (:func:`_plans_equal`) before reporting wall times — a perf number for
     a run that diverged would be meaningless.
     """
     suite = E2E_SUITE[:1] if quick else E2E_SUITE
@@ -207,14 +211,12 @@ def bench_end_to_end(quick: bool = False, seed: int = 3) -> List[Dict]:
             t0 = time.perf_counter()
             results[backend] = plan(robot, task, config)
             times[backend] = time.perf_counter() - t0
-        fast, gold = results["batch"], results["reference"]
-        same_path = len(fast.path) == len(gold.path) and all(
-            np.array_equal(a, b) for a, b in zip(fast.path, gold.path)
-        )
-        if not same_path or fast.path_cost != gold.path_cost:
-            raise AssertionError(f"{label}: batch and reference plans diverged")
-        if fast.counter.to_dict() != gold.counter.to_dict():
-            raise AssertionError(f"{label}: operation counters diverged")
+        fast = results["batch"]
+        reason = _plans_equal(fast, results["reference"])
+        if reason is not None:
+            raise AssertionError(
+                f"{label}: batch and reference plans diverged: {reason}"
+            )
         records.append(
             {
                 "case": label,
@@ -256,6 +258,10 @@ WAVE_QUICK_CASES = 2
 #: (case, wave_width, max_samples) keys and the regression gate engages.
 WAVE_SAMPLES = 600
 
+#: Wave width of the wave, edge and connect benches: a key field of their
+#: committed baselines, so fixed like the sampling budgets.
+WAVE_WIDTH = 8
+
 
 def _plans_equal(a, b) -> Optional[str]:
     """Full bit-equality of two plan results; returns a reason on mismatch.
@@ -289,13 +295,13 @@ def _plans_equal(a, b) -> Optional[str]:
     return None
 
 
-def bench_wave(quick: bool = False, seed: int = 3, wave_width: int = 8) -> List[Dict]:
+def bench_wave(quick: bool = False, seed: int = 3) -> List[Dict]:
     """Time multi-sample waves against one-sample waves.
 
     For every suite case three configurations run: one-sample waves
     without speculation (``scalar``), one-sample waves at
-    ``speculation_depth = wave_width`` (``scalar_spec``, where every edge
-    is checked directly), and waves of ``wave_width`` samples.  The wide
+    ``speculation_depth = WAVE_WIDTH`` (``scalar_spec``, where every edge
+    is checked directly), and waves of ``WAVE_WIDTH`` samples.  The wide
     run is asserted bit-identical to the one-sample speculative run —
     paths, costs, operation counters, and per-round phase loads — before
     any time is reported.  Timings
@@ -323,22 +329,22 @@ def bench_wave(quick: bool = False, seed: int = 3, wave_width: int = 8) -> List[
         # Correctness gate first: a perf number for a diverged run is
         # meaningless.  This is also the bench's speculation_depth > 0
         # coverage: one-sample waves at depth W run here every time.
-        _, spec_result = run(1, wave_width)
-        _, wave_result = run(wave_width, 0)
+        _, spec_result = run(1, WAVE_WIDTH)
+        _, wave_result = run(WAVE_WIDTH, 0)
         reason = _plans_equal(wave_result, spec_result)
         if reason is not None:
             raise AssertionError(
-                f"{label}: wave W={wave_width} diverged from one-sample "
-                f"waves at speculation_depth={wave_width}: {reason}"
+                f"{label}: wave W={WAVE_WIDTH} diverged from one-sample "
+                f"waves at speculation_depth={WAVE_WIDTH}: {reason}"
             )
 
         times: Dict[str, List[float]] = {"scalar": [], "spec": [], "wave": []}
         for _ in range(reps):
             dt, _ = run(1, 0)
             times["scalar"].append(dt)
-            dt, _ = run(1, wave_width)
+            dt, _ = run(1, WAVE_WIDTH)
             times["spec"].append(dt)
-            dt, wave_result = run(wave_width, 0)
+            dt, wave_result = run(WAVE_WIDTH, 0)
             times["wave"].append(dt)
         scalar_s = statistics.median(times["scalar"])
         spec_s = statistics.median(times["spec"])
@@ -349,7 +355,7 @@ def bench_wave(quick: bool = False, seed: int = 3, wave_width: int = 8) -> List[
                 "robot": robot_name,
                 "obstacles": num_obstacles,
                 "variant": variant,
-                "wave_width": wave_width,
+                "wave_width": WAVE_WIDTH,
                 "max_samples": WAVE_SAMPLES,
                 "scalar_s": scalar_s,
                 "scalar_spec_s": spec_s,
@@ -377,11 +383,10 @@ EDGE_SUITE = (
     ("xarm7/24obs/two_stage", "xarm7", 24, "two_stage"),
 )
 
-#: Movements per measured pass and their wave grouping.  Fixed (independent
-#: of ``--quick``) so quick CI runs and the committed full baseline share
-#: the same (case, wave_width, edges) keys and the regression gate engages.
+#: Movements per measured pass.  Fixed (independent of ``--quick``) so
+#: quick CI runs and the committed full baseline share the same
+#: (case, wave_width, edges) keys and the regression gate engages.
 EDGE_COUNT = 192
-EDGE_WAVE_WIDTH = 8
 
 
 def _edge_batch(robot, rng: np.random.Generator, count: int):
@@ -405,7 +410,7 @@ def bench_edge(quick: bool = False, seed: int = 11) -> List[Dict]:
     For every suite case :meth:`~repro.core.collision.CollisionChecker.
     motion_results_batch` — the stacked whole-edge kernels behind one FK
     batch and the conservative AABB broadphase — validates the same
-    ``EDGE_COUNT`` random movements in waves of ``EDGE_WAVE_WIDTH``.  The
+    ``EDGE_COUNT`` random movements in waves of ``WAVE_WIDTH``.  The
     reference backend's per-configuration walk (the golden semantics,
     never timed) must agree on every verdict and every captured
     :class:`~repro.core.counters.OpCounter` before any time is reported.
@@ -419,8 +424,8 @@ def bench_edge(quick: bool = False, seed: int = 11) -> List[Dict]:
         rng = np.random.default_rng(seed)
         starts, ends = _edge_batch(robot, rng, EDGE_COUNT)
         waves = [
-            (starts[i:i + EDGE_WAVE_WIDTH], ends[i:i + EDGE_WAVE_WIDTH])
-            for i in range(0, EDGE_COUNT, EDGE_WAVE_WIDTH)
+            (starts[i:i + WAVE_WIDTH], ends[i:i + WAVE_WIDTH])
+            for i in range(0, EDGE_COUNT, WAVE_WIDTH)
         ]
         checker = make_checker(checker_name, robot, env, resolution)
         golden = make_checker(
@@ -449,7 +454,7 @@ def bench_edge(quick: bool = False, seed: int = 11) -> List[Dict]:
                 "robot": robot_name,
                 "obstacles": num_obstacles,
                 "checker": checker_name,
-                "wave_width": EDGE_WAVE_WIDTH,
+                "wave_width": WAVE_WIDTH,
                 "edges": EDGE_COUNT,
                 "edge_s": edge_s,
                 "edge_us_per_edge": edge_s / EDGE_COUNT * 1e6,
@@ -475,12 +480,9 @@ CONNECT_SUITE = (
 #: same (case, wave_width, max_samples) keys and the regression gate
 #: engages.
 CONNECT_SAMPLES = 600
-CONNECT_WAVE_WIDTH = 8
 
 
-def bench_connect(
-    quick: bool = False, seed: int = 3, wave_width: int = CONNECT_WAVE_WIDTH
-) -> List[Dict]:
+def bench_connect(quick: bool = False, seed: int = 3) -> List[Dict]:
     """Time bidirectional RRT-Connect against wave RRT* on feasibility.
 
     Both planners answer the same question — *find any collision-free
@@ -490,7 +492,7 @@ def bench_connect(
     batched alternating-trees loop.
 
     Correctness gates first: the connect run must be bit-identical across
-    wave widths (W=1 vs W=``wave_width``: paths, costs, counters, rounds)
+    wave widths (W=1 vs W=``WAVE_WIDTH``: paths, costs, counters, rounds)
     and across repeats at the same width, and both planners must actually
     find a path.  Timings interleave the two planners across repetitions
     and report medians.
@@ -515,7 +517,7 @@ def bench_connect(
         def run_rrtstar():
             config = moped_config(
                 "v4", max_samples=CONNECT_SAMPLES, seed=5,
-                wave_width=wave_width, stop_on_goal=True,
+                wave_width=WAVE_WIDTH, stop_on_goal=True,
             )
             planner = RRTStarPlanner(robot, task, config)
             t0 = time.perf_counter()
@@ -526,17 +528,17 @@ def bench_connect(
         # and feasibility on both sides.  A perf number for a diverged or
         # failed run is meaningless.
         _, scalar_result = run_connect(1)
-        _, wave_result = run_connect(wave_width)
+        _, wave_result = run_connect(WAVE_WIDTH)
         reason = _plans_equal(wave_result, scalar_result)
         if reason is not None:
             raise AssertionError(
-                f"{label}: connect W={wave_width} diverged from W=1: {reason}"
+                f"{label}: connect W={WAVE_WIDTH} diverged from W=1: {reason}"
             )
-        _, repeat_result = run_connect(wave_width)
+        _, repeat_result = run_connect(WAVE_WIDTH)
         reason = _plans_equal(repeat_result, wave_result)
         if reason is not None:
             raise AssertionError(
-                f"{label}: connect W={wave_width} is not reproducible "
+                f"{label}: connect W={WAVE_WIDTH} is not reproducible "
                 f"across repeats: {reason}"
             )
         if not wave_result.success:
@@ -545,7 +547,7 @@ def bench_connect(
         times: Dict[str, List[float]] = {"connect": [], "rrtstar": []}
         star_result = None
         for _ in range(reps):
-            dt, _ = run_connect(wave_width)
+            dt, _ = run_connect(WAVE_WIDTH)
             times["connect"].append(dt)
             dt, star_result = run_rrtstar()
             times["rrtstar"].append(dt)
@@ -558,7 +560,7 @@ def bench_connect(
                 "case": label,
                 "robot": robot_name,
                 "obstacles": num_obstacles,
-                "wave_width": wave_width,
+                "wave_width": WAVE_WIDTH,
                 "max_samples": CONNECT_SAMPLES,
                 "connect_s": connect_s,
                 "rrtstar_s": rrtstar_s,
@@ -672,9 +674,10 @@ def bench_faults_overhead(quick: bool = False, seed: int = 3) -> Dict:
     hot site pays one ``is not None`` check) and once with an installed but
     *inert* plan (rules at the planner sites with ``p=0``, which skip the
     RNG draw).  Asserts both modes produce bit-identical plans, then
-    reports interleaved medians and the overhead ratio.  ``--faults-gate``
-    fails CI when the inert run exceeds the <1% budget the zero-overhead
-    contract promises (:mod:`repro.faults`).
+    reports interleaved medians and the overhead ratio.
+    :func:`check_faults_overhead` fails the gate when the inert run exceeds
+    ``FAULTS_OVERHEAD_FACTOR`` times the disabled run plus
+    ``FAULTS_OVERHEAD_SLACK_S`` (1% plus 10 ms; :mod:`repro.faults`).
     """
     from repro.faults import FaultInjector, FaultPlan, FaultRule, set_injector
 
@@ -707,11 +710,11 @@ def bench_faults_overhead(quick: bool = False, seed: int = 3) -> Dict:
     finally:
         set_injector(previous)
 
-    disabled, inert = results["disabled"], results["inert"]
-    if (disabled.path_cost != inert.path_cost
-            or disabled.counter.to_dict() != inert.counter.to_dict()):
+    reason = _plans_equal(results["disabled"], results["inert"])
+    if reason is not None:
         raise AssertionError(
-            "inert fault injector changed the plan — the no-op contract is broken"
+            "inert fault injector changed the plan — the no-op contract is "
+            f"broken: {reason}"
         )
     disabled_s = statistics.median(times["disabled"])
     inert_s = statistics.median(times["inert"])
@@ -726,34 +729,161 @@ def bench_faults_overhead(quick: bool = False, seed: int = 3) -> Dict:
     }
 
 
+def _faults_budget_s(entry: Dict) -> float:
+    """The inert-run time the faults gate allows."""
+    return entry["disabled_s"] * FAULTS_OVERHEAD_FACTOR + FAULTS_OVERHEAD_SLACK_S
+
+
+def _faults_verdict(entry: Dict) -> str:
+    """The measured hook overhead next to the budget the gate enforces."""
+    budget_s = _faults_budget_s(entry)
+    verdict = "within" if entry["inert_s"] <= budget_s else "over"
+    return (
+        f"overhead={entry['overhead_pct']:+.2f}% {verdict} budget "
+        f"{100.0 * (budget_s / entry['disabled_s'] - 1.0):+.2f}% "
+        f"({FAULTS_OVERHEAD_FACTOR:.2f}x + {FAULTS_OVERHEAD_SLACK_S * 1e3:.0f}ms "
+        f"= {budget_s:.4f}s)"
+    )
+
+
 def check_faults_overhead(entry: Dict) -> List[str]:
     """Gate messages for a :func:`bench_faults_overhead` record (empty = pass)."""
-    budget = entry["disabled_s"] * FAULTS_OVERHEAD_FACTOR + FAULTS_OVERHEAD_SLACK_S
-    if entry["inert_s"] > budget:
+    if entry["inert_s"] > _faults_budget_s(entry):
         return [
-            f"fault hooks overhead: inert {entry['inert_s']:.4f}s vs "
-            f"disabled {entry['disabled_s']:.4f}s "
-            f"({entry['overhead_pct']:+.2f}%, budget "
-            f"{FAULTS_OVERHEAD_FACTOR:.2f}x + {FAULTS_OVERHEAD_SLACK_S}s)"
+            f"fault hooks: inert {entry['inert_s']:.4f}s vs disabled "
+            f"{entry['disabled_s']:.4f}s, {_faults_verdict(entry)}"
         ]
     return []
+
+
+# ---------------------------------------------------------------- sections
+
+
+@dataclass(frozen=True)
+class Section:
+    """One report section: how it runs, is named, gated, printed, drilled.
+
+    ``run(quick)`` measures the section and returns its entries (every
+    section is a list in the report).  An entry is named across reports by
+    its ``key`` fields, and ``time`` is its primary timing.  The gate is
+    ``factor`` (fail when ``time`` exceeds ``factor`` times the fastest
+    baseline entry with the same key; the message names the entry by
+    ``label`` with ``digits`` decimals) or ``check`` (an in-run verdict
+    that needs no baseline).  ``line`` prints an entry; ``row`` is the
+    ``section`` attribute of its drill-down rows (``None``: no rows).
+    """
+
+    name: str
+    run: Callable[[bool], List[Dict]]
+    line: Callable[[Dict], str]
+    key: Tuple[str, ...] = ()
+    time: Optional[str] = None
+    factor: Optional[float] = None
+    label: str = ""
+    digits: int = 4
+    check: Optional[Callable[[Dict], List[str]]] = None
+    row: Optional[str] = None
+
+    def key_of(self, entry: Dict) -> tuple:
+        return tuple(entry[name] for name in self.key)
+
+
+def _portfolio_line(e: Dict) -> str:
+    wins = " ".join(f"{name}={count}" for name, count in sorted(e["wins"].items()))
+    return (
+        f"portfolio {e['case']:19s} race={'+'.join(e['planners'])} "
+        f"jobs={e['jobs']} workers={e['workers']}  wins[{wins}]  "
+        f"{e['elapsed_s']:.2f}s  (losers terminal: {e['equivalent']})"
+    )
+
+
+#: Every ``repro.bench`` section, in run order.  ``run_benchmarks``, the
+#: gate, the drill-down rows and the CLI read only this table.  ``faults``
+#: runs before ``portfolio``, the one section that starts worker processes,
+#: so its interleaved A/B never shares the host with a pool shutting down.
+SECTIONS = (
+    Section(
+        "kernels", bench_kernels,
+        lambda e: (
+            f"kernel {e['kernel']:16s} dim={e['dim']} size={e['size']:>9s}  "
+            f"batch={e['batch_s'] * 1e6:9.1f}us "
+            f"reference={e['reference_s'] * 1e6:10.1f}us  "
+            f"speedup={e['speedup']:6.1f}x"
+        ),
+        key=("kernel", "dim", "size"), time="batch_s",
+        factor=REGRESSION_FACTOR, label="{kernel} dim={dim} size={size}",
+        digits=6, row="kernel",
+    ),
+    Section(
+        "end_to_end", bench_end_to_end,
+        lambda e: (
+            f"e2e    {e['case']:22s} batch={e['batch_s']:.2f}s "
+            f"reference={e['reference_s']:.2f}s  speedup={e['speedup']:.2f}x  "
+            f"(bit-identical: {e['equivalent']})"
+        ),
+        key=("case", "max_samples"), time="batch_s", row="e2e",
+    ),
+    Section(
+        "wave", bench_wave,
+        lambda e: (
+            f"wave   {e['case']:22s} W={e['wave_width']:<3d} "
+            f"scalar={e['scalar_s']:.3f}s wave={e['wave_s']:.3f}s  "
+            f"speedup={e['speedup_vs_scalar']:.2f}x  "
+            f"occ={e['wave_occupancy']:.2f}  (bit-identical: {e['equivalent']})"
+        ),
+        key=("case", "wave_width", "max_samples"), time="wave_s",
+        factor=REGRESSION_FACTOR, label="wave {case} W={wave_width}", row="wave",
+    ),
+    Section(
+        "edge", bench_edge,
+        lambda e: (
+            f"edge   {e['case']:22s} W={e['wave_width']:<3d} "
+            f"edge={e['edge_us_per_edge']:6.1f}us/edge  "
+            f"(bit-identical: {e['equivalent']})"
+        ),
+        key=("case", "wave_width", "edges"), time="edge_s",
+        factor=REGRESSION_FACTOR, label="edge {case} W={wave_width}", row="edge",
+    ),
+    Section(
+        "connect", bench_connect,
+        lambda e: (
+            f"connect {e['case']:21s} W={e['wave_width']:<3d} "
+            f"rrtstar={e['rrtstar_s']:.3f}s connect={e['connect_s']:.3f}s  "
+            f"speedup={e['speedup']:.2f}x  "
+            f"iters={e['connect_iterations']}/{e['rrtstar_iterations']}  "
+            f"(bit-reproducible: {e['equivalent']})"
+        ),
+        key=("case", "wave_width", "max_samples"), time="connect_s",
+        factor=REGRESSION_FACTOR, label="connect {case} W={wave_width}",
+        row="connect",
+    ),
+    Section(
+        "faults", lambda quick: [bench_faults_overhead(quick)],
+        lambda e: (
+            f"faults {e['case']:22s} disabled={e['disabled_s']:.3f}s "
+            f"inert={e['inert_s']:.3f}s  {_faults_verdict(e)}  "
+            f"(bit-identical: {e['equivalent']})"
+        ),
+        check=check_faults_overhead,
+    ),
+    Section("portfolio", lambda quick: [bench_portfolio(quick)], _portfolio_line),
+)
 
 
 # ------------------------------------------------------------------- report
 
 
-def run_benchmarks(
-    quick: bool = False,
-    skip_e2e: bool = False,
-    seed: int = 0,
-    wave: bool = False,
-    wave_width: int = 8,
-    faults: bool = False,
-    edge: bool = False,
-    connect: bool = False,
-    portfolio: bool = False,
-) -> Dict:
-    """Full harness: kernel sweeps plus end-to-end planner runs."""
+def run_benchmarks(quick: bool = False,
+                   sections: Optional[Sequence[str]] = None) -> Dict:
+    """Run the named sections (default: all of :data:`SECTIONS`) once each.
+
+    Every section key is in the report; a section not run is empty.
+    """
+    names = [section.name for section in SECTIONS]
+    chosen = names if sections is None else list(sections)
+    unknown = sorted(set(chosen) - set(names))
+    if unknown:
+        raise ValueError(f"unknown bench sections {unknown}; known: {names}")
     report = {
         "schema": SCHEMA_VERSION,
         "emitter": "repro.bench",
@@ -763,14 +893,9 @@ def run_benchmarks(
             "numpy": np.__version__,
             "machine": platform.machine(),
         },
-        "kernels": bench_kernels(quick=quick, seed=seed),
-        "end_to_end": [] if skip_e2e else bench_end_to_end(quick=quick),
-        "wave": bench_wave(quick=quick, wave_width=wave_width) if wave else [],
-        "edge": bench_edge(quick=quick) if edge else [],
-        "connect": bench_connect(quick=quick) if connect else [],
-        "portfolio": bench_portfolio(quick=quick) if portfolio else None,
-        "faults": bench_faults_overhead(quick=quick) if faults else None,
     }
+    for section in SECTIONS:
+        report[section.name] = section.run(quick) if section.name in chosen else []
     return report
 
 
@@ -785,62 +910,60 @@ def load_report(path: str) -> Dict:
         return json.load(handle)
 
 
-#: Gated timing sections: (report key, key fields, time field, message
-#: label, digits).  An entry regresses when its time exceeds the factor
-#: times the baseline entry with the same key fields.
-GATED_SECTIONS = (
-    ("kernels", ("kernel", "dim", "size"), "batch_s",
-     "{kernel} dim={dim} size={size}", 6),
-    ("wave", ("case", "wave_width", "max_samples"), "wave_s",
-     "wave {case} W={wave_width}", 4),
-    ("edge", ("case", "wave_width", "edges"), "edge_s",
-     "edge {case} W={wave_width}", 4),
-    ("connect", ("case", "wave_width", "max_samples"), "connect_s",
-     "connect {case} W={wave_width}", 4),
-)
+def merge_baselines(baselines: Sequence[Dict]) -> Dict:
+    """One baseline holding the fastest entry per key over ``baselines``.
+
+    An entry fails the factor gate against it exactly when it fails
+    against any one of ``baselines``: ``t > f * min(b)`` iff ``t > f * b``
+    for some ``b``.
+    """
+    merged: Dict = {"schema": SCHEMA_VERSION, "emitter": "repro.bench"}
+    for section in SECTIONS:
+        if section.time is None:
+            continue
+        fastest: Dict[tuple, Dict] = {}
+        for baseline in baselines:
+            for entry in baseline.get(section.name) or []:
+                key = section.key_of(entry)
+                if key not in fastest or \
+                        entry[section.time] < fastest[key][section.time]:
+                    fastest[key] = entry
+        merged[section.name] = list(fastest.values())
+    return merged
 
 
-def compare_to_baseline(
-    report: Dict,
-    baseline: Dict,
-    factor: float = REGRESSION_FACTOR,
-) -> List[str]:
-    """Regression check: returns one message per entry slower than allowed.
+def compare_to_baseline(report: Dict, baseline: Dict) -> List[str]:
+    """The gate: one message per failing entry (empty = pass).
 
-    For every section of :data:`GATED_SECTIONS`, an entry regresses when
-    its time exceeds ``factor`` times the committed baseline's time for
-    the same key (a kernel's (kernel, dim, size) point, a wave case's
-    (case, wave_width, max_samples) point, ...).  Points missing from
-    either report are skipped — the gate only compares what both runs
-    measured.
+    A section with a ``factor`` fails an entry whose time exceeds
+    ``factor`` times the baseline entry with the same key (a kernel's
+    (kernel, dim, size) point, a wave case's (case, wave_width,
+    max_samples) point, ...); points missing from either report are
+    skipped.  A section with a ``check`` runs it on each of its entries.
     """
     failures: List[str] = []
-    for section, fields, time_field, label, digits in GATED_SECTIONS:
-        base_index = {tuple(entry[name] for name in fields): entry
-                      for entry in baseline.get(section, [])}
-        for entry in report.get(section, []):
-            base = base_index.get(tuple(entry[name] for name in fields))
+    for section in SECTIONS:
+        entries = report.get(section.name) or []
+        if section.check is not None:
+            for entry in entries:
+                failures.extend(section.check(entry))
+        if section.factor is None:
+            continue
+        base_index = {section.key_of(entry): entry
+                      for entry in baseline.get(section.name) or []}
+        for entry in entries:
+            base = base_index.get(section.key_of(entry))
             if base is None:
                 continue
-            now, then = entry[time_field], base[time_field]
-            if now > factor * then:
+            now, then = entry[section.time], base[section.time]
+            if now > section.factor * then:
                 failures.append(
-                    f"{label.format(**entry)}: {now:.{digits}f}s vs baseline "
-                    f"{then:.{digits}f}s (> {factor:.1f}x)"
+                    f"{section.label.format(**entry)}: {now:.{section.digits}f}s "
+                    f"vs baseline {then:.{section.digits}f}s "
+                    f"(> {section.factor:.1f}x)"
                 )
     return failures
 
-
-#: Timed sections a bench report drills down over: (report key, section
-#: label, time field).  Each entry becomes one row whose ``time_s`` is its
-#: primary timing, so one RCA run attributes the whole report's time delta.
-_ROW_SECTIONS = (
-    ("kernels", "kernel", "batch_s"),
-    ("end_to_end", "e2e", "batch_s"),
-    ("wave", "wave", "wave_s"),
-    ("edge", "edge", "edge_s"),
-    ("connect", "connect", "connect_s"),
-)
 
 #: Entry fields that label a row (its drill-down attributes).
 _ROW_ATTRIBUTES = ("kernel", "dim", "size", "case", "robot", "obstacles",
@@ -850,14 +973,17 @@ _ROW_ATTRIBUTES = ("kernel", "dim", "size", "case", "robot", "obstacles",
 def bench_dump(report: Dict) -> Dict:
     """A bench report as a drill-down dump (see :mod:`repro.obs.rca`).
 
-    Accepts stamped reports and the unstamped ones committed before the
-    ``emitter`` stamp; rejects reports newer than :data:`SCHEMA_VERSION`
-    and payloads with none of the timed sections.
+    Each entry of a section with a ``row`` label becomes one row whose
+    ``time_s`` is its primary timing, so one RCA run attributes the whole
+    report's time delta.  Accepts stamped reports and the unstamped ones
+    committed before the ``emitter`` stamp; rejects reports newer than
+    :data:`SCHEMA_VERSION` and payloads with none of the timed sections.
     """
-    if not any(key in report for key, _, _ in _ROW_SECTIONS):
+    timed = [section for section in SECTIONS if section.row is not None]
+    if not any(section.name in report for section in timed):
         raise ValueError(
             "dump has no per-row 'records' and is not a repro.bench report "
-            "(no kernels / end_to_end / wave / edge / connect section)"
+            f"(no {' / '.join(section.name for section in timed)} section)"
         )
     schema = report.get("schema")
     if not isinstance(schema, int) or not 0 <= schema <= SCHEMA_VERSION:
@@ -867,12 +993,12 @@ def bench_dump(report: Dict) -> Dict:
             "matching build"
         )
     rows = []
-    for key, section, time_field in _ROW_SECTIONS:
-        for entry in report.get(key) or []:
+    for section in timed:
+        for entry in report.get(section.name) or []:
             row = {name: value for name, value in entry.items()
                    if name not in _ROW_ATTRIBUTES}
-            row["time_s"] = entry[time_field]
-            row["attributes"] = {"section": section, **{
+            row["time_s"] = entry[section.time]
+            row["attributes"] = {"section": section.row, **{
                 name: str(entry[name]) for name in _ROW_ATTRIBUTES
                 if name in entry
             }}

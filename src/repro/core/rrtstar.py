@@ -324,8 +324,11 @@ class RRTStarPlanner(_SamplingPlanner):
         ``speculation_depth``.
 
         A wave of more than one sample is first evaluated speculatively
-        (:meth:`_speculate`).  When the committed nearest matches the
-        speculation, the edge's verdict and captured counter events are
+        (:meth:`_speculate`).  When the committed edge matches the
+        speculated one bitwise at both ends (the nearest's point and the
+        steered ``x_new``; a sample within one step steers to itself
+        whichever node is nearest, so ``x_new`` alone does not identify
+        the edge), its verdict and captured counter events are
         replayed; otherwise (an intra-wave conflict repaired the nearest)
         the edge is checked singly, exactly like a speculation miss in the
         hardware pipeline.  Inside ``_extend`` each choose-parent/rewire
@@ -392,7 +395,7 @@ class RRTStarPlanner(_SamplingPlanner):
                     used_spec = (
                         spec is not None
                         and spec["spec_results"][j] is not None
-                        and nearest_key == spec["spec_key"][j]
+                        and np.array_equal(nearest_point, spec["spec_start"][j])
                         and np.array_equal(x_new, spec["spec_new"][j])
                     )
                     with obs.phase("collision", sub):
@@ -460,7 +463,7 @@ class RRTStarPlanner(_SamplingPlanner):
         Returns the snapshot (``n0`` nodes, distance matrix ``d_sq``), the
         matrix nearest ``base_key`` and predicted post-repair distance
         ``pre_dist`` per sample, the final speculation
-        (``spec_key``/``spec_new``/``spec_results``), and the wave's
+        (``spec_start``/``spec_new``/``spec_results``), and the wave's
         ``verdicts`` map, keyed on exact endpoint bytes.  Everything is a
         prediction: commits verify it bitwise before replaying anything.
         """
@@ -478,7 +481,7 @@ class RRTStarPlanner(_SamplingPlanner):
             for j in range(width)
         ]
         base_key = [0] * width
-        spec_key = [0] * width
+        spec_start: List[Optional[np.ndarray]] = [None] * width
         spec_new: List[Optional[np.ndarray]] = [None] * width
         #: Per-sample whole-edge (verdict, events) for the commit replay.
         spec_results: List[Optional[tuple]] = [None] * width
@@ -533,16 +536,16 @@ class RRTStarPlanner(_SamplingPlanner):
                     batch1[j] = res
             verdicts = self._simulate_commit(
                 xs, width, n0, pre_key, pre_dist, points, tree.costs_view(),
-                spec_key, spec_new, spec_results, batch1,
+                spec_start, spec_new, spec_results, batch1,
             )
         return {
             "n0": n0, "d_sq": d_sq, "base_key": base_key, "pre_dist": pre_dist,
-            "spec_key": spec_key, "spec_new": spec_new,
+            "spec_start": spec_start, "spec_new": spec_new,
             "spec_results": spec_results, "verdicts": verdicts,
         }
 
     def _simulate_commit(self, xs, width, n0, pre_key, pre_dist, points, costs,
-                         spec_key, spec_new, spec_results, batch1) -> dict:
+                         spec_start, spec_new, spec_results, batch1) -> dict:
         """Fold intra-wave accepts into the speculation (two sim passes).
 
         The pre-pass speculation only sees the tree snapshot, so a sample
@@ -559,9 +562,9 @@ class RRTStarPlanner(_SamplingPlanner):
           second :meth:`~repro.core.collision.CollisionChecker.
           motion_results_batch` call.
         * Pass B re-walks the chain with both verdict sets and fixes the
-          final per-sample speculation (``spec_key``/``spec_new``/
-          ``spec_results``), predicting intra-wave node ids from the
-          insertion order.
+          final per-sample speculation (``spec_start``/``spec_new``/
+          ``spec_results``), predicting each edge's start point, an
+          intra-wave accept's ``x_new`` included.
 
         The simulation uses bitwise the same steering and distance
         arithmetic as the commit, so its predictions are exact unless a
@@ -581,7 +584,7 @@ class RRTStarPlanner(_SamplingPlanner):
         cand_idx = [j for j in range(width) if spec_new[j] is not None]
         if not cand_idx:
             for j in range(width):
-                spec_key[j] = pre_key[j]
+                spec_start[j] = points[pre_key[j]]
                 spec_results[j] = batch1.get(j)
             return {}
         margin = 1.0 + 1e-9
@@ -637,8 +640,8 @@ class RRTStarPlanner(_SamplingPlanner):
             edge_results = self.checker.motion_results_batch(
                 np.stack(starts), np.stack(ends)
             )
-            for i, ((j, _, x2), res) in enumerate(zip(resteer, edge_results)):
-                batch2[j] = (x2, res)
+            for i, ((j, pt, x2), res) in enumerate(zip(resteer, edge_results)):
+                batch2[j] = (pt, x2, res)
                 bcol_of[j] = i
             for i in range(len(resteer), len(starts)):
                 verdicts[starts[i].tobytes(), ends[i].tobytes()] = edge_results[i]
@@ -662,7 +665,7 @@ class RRTStarPlanner(_SamplingPlanner):
                     if pdist < dist:
                         k, dist, pt = n0 + idx, pdist, apt
                         bound = dist * dist * margin
-            spec_key[j] = k
+            spec_start[j] = pt
             if dist <= 1e-12:
                 spec_new[j] = None
                 spec_results[j] = None
@@ -677,8 +680,9 @@ class RRTStarPlanner(_SamplingPlanner):
                 entry = batch2.get(j)
                 results = None
                 in_b, col = True, bcol_of.get(j)
-                if entry is not None and np.array_equal(entry[0], x2):
-                    results = entry[1]
+                if (entry is not None and np.array_equal(entry[0], pt)
+                        and np.array_equal(entry[1], x2)):
+                    results = entry[2]
             spec_results[j] = results
             if results is not None and not results[0]:
                 accepts.append((in_b, col, spec_new[j]))

@@ -24,8 +24,8 @@ expected to fetch the injector once per loop, not per iteration).  Rules
 that are inert (``p <= 0``) are dropped at injector construction — frozen
 rules can never become active — so a site covered only by quiet rules pays
 a bare dict miss per call, never a rule-evaluation loop.  ``repro.bench
---faults-gate`` enforces the <1% end-to-end overhead budget of the
-disabled hooks.
+--check`` bounds the end-to-end cost of the disabled hooks at 1% plus
+10 ms of timer slack per planner run.
 
 Side-effect kinds (``crash``, ``hang``, ``slow``, ``error``) are executed
 by :meth:`FaultInjector.fire` itself; transport kinds (``corrupt``,

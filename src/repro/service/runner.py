@@ -93,7 +93,6 @@ class PlanningService:
         #: logged so :meth:`recover` can replay work a crash lost.
         self.journal = journal
         self._pool: Optional[WorkerPool] = None
-        self._pending: List[PlanRequest] = []
 
     # ----------------------------------------------------------- lifecycle
 
@@ -127,16 +126,6 @@ class PlanningService:
         self.close()
 
     # ------------------------------------------------------------- serving
-
-    def submit(self, request: PlanRequest) -> int:
-        """Queue a request for the next :meth:`drain`; returns its index."""
-        self._pending.append(request)
-        return len(self._pending) - 1
-
-    def drain(self) -> List[PlanResponse]:
-        """Run everything :meth:`submit` queued since the last drain."""
-        pending, self._pending = self._pending, []
-        return self.run_batch(pending)
 
     def recover(self) -> Dict:
         """Replay the journal after a crash: settle every admitted job.

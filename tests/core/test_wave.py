@@ -10,7 +10,7 @@ directly (the "scalar" reference below).
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.collision import CollisionChecker
@@ -166,6 +166,11 @@ class TestWaveRepairProperty:
         seed=st.integers(min_value=0, max_value=10_000),
         width=st.sampled_from([2, 4, 8, 16]),
     )
+    # Round 20 samples within one step of its nearest, so it steers to
+    # itself from whichever node is nearest: a verdict batched for an edge
+    # from another start shares its x_new, and only matching speculated
+    # edges on both ends keeps it from being replayed.
+    @example(seed=765, width=8)
     def test_wave_never_accepts_what_scalar_rejects(self, seed, width):
         """Intra-wave repair is exactly the scalar pending-repair.
 

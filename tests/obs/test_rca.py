@@ -269,6 +269,8 @@ class TestLoader:
     def test_bench_report_rows(self, monkeypatch):
         # A report of run_benchmarks' own shape and stamps, its timed
         # sections taken from the committed baselines instead of re-timed.
+        import dataclasses
+
         import repro.bench as bench
 
         def committed(name, key):
@@ -276,17 +278,17 @@ class TestLoader:
             return json.loads(text)[key]
 
         sections = {
-            "bench_kernels": committed("BENCH_baseline.json", "kernels"),
-            "bench_end_to_end": committed("BENCH_baseline.json",
-                                          "end_to_end"),
-            "bench_wave": committed("BENCH_wave.json", "wave"),
-            "bench_edge": committed("BENCH_edge.json", "edge"),
-            "bench_connect": committed("BENCH_connect.json", "connect"),
+            "kernels": committed("BENCH_baseline.json", "kernels"),
+            "end_to_end": committed("BENCH_baseline.json", "end_to_end"),
+            "wave": committed("BENCH_wave.json", "wave"),
+            "edge": committed("BENCH_edge.json", "edge"),
+            "connect": committed("BENCH_connect.json", "connect"),
         }
-        for name, entries in sections.items():
-            monkeypatch.setattr(bench, name,
-                                lambda *a, entries=entries, **k: entries)
-        report = bench.run_benchmarks(wave=True, edge=True, connect=True)
+        monkeypatch.setattr(bench, "SECTIONS", tuple(
+            dataclasses.replace(s, run=lambda quick, e=sections[s.name]: e)
+            for s in bench.SECTIONS if s.name in sections
+        ))
+        report = bench.run_benchmarks()
         dump = read_dump(report)
         assert (dump.emitter, dump.measure) == ("repro.bench", "time_s")
         labels = [r.attributes["section"] for r in dump.records]

@@ -66,14 +66,6 @@ class TestInlineMode:
         assert inline.op_events == pooled.op_events
         assert inline.path == pooled.path
 
-    def test_submit_drain(self):
-        service = PlanningService(num_workers=0)
-        service.submit(make_request(seed=1, request_id="x"))
-        service.submit(make_request(seed=2, request_id="y"))
-        responses = service.drain()
-        assert [r.request_id for r in responses] == ["x", "y"]
-        assert service.drain() == []
-
 
 class TestServiceSummary:
     def test_summary_schema(self):
