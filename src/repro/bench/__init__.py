@@ -195,12 +195,14 @@ E2E_SUITE = (
 def bench_end_to_end(quick: bool = False, seed: int = 3) -> List[Dict]:
     """Time full planner runs under both kernel backends.
 
-    Asserts the two backends produce bit-identical plans
+    Asserts that both backends find a path and produce bit-identical plans
     (:func:`_plans_equal`) before reporting wall times — a perf number for
-    a run that diverged would be meaningless.
+    a run that diverged would be meaningless, and two failed searches
+    agreeing shows little.  The quick case runs 300 samples, the fewest
+    at which it solves.
     """
     suite = E2E_SUITE[:1] if quick else E2E_SUITE
-    samples = 200 if quick else 600
+    samples = 300 if quick else 600
     records: List[Dict] = []
     for label, robot_name, num_obstacles, variant in suite:
         task = random_task(robot_name, num_obstacles, seed=seed)
@@ -211,6 +213,12 @@ def bench_end_to_end(quick: bool = False, seed: int = 3) -> List[Dict]:
             t0 = time.perf_counter()
             results[backend] = plan(robot, task, config)
             times[backend] = time.perf_counter() - t0
+        for backend, result in results.items():
+            if not result.success:
+                raise AssertionError(
+                    f"{label}: the {backend} backend found no path in "
+                    f"{samples} samples"
+                )
         fast = results["batch"]
         reason = _plans_equal(fast, results["reference"])
         if reason is not None:
@@ -1018,11 +1026,24 @@ def analyze_bench_reports(
 
     The default ``sum(time_s)`` decomposes the total wall-time delta
     exactly across (section × kernel × dim × size / case) cells, so a
-    perf-gate failure names the offending cell(s).  Cells present in only
-    one report still surface (as vanished/new slices).
+    perf-gate failure names the offending cell(s).  Only cells present in
+    both reports are compared: the full-mode points a quick run does not
+    produce would otherwise rank first as vanished slices.
     """
     return analyze(
-        read_dump(bench_dump(baseline)).records,
-        read_dump(bench_dump(candidate)).records,
+        read_dump(bench_dump(_shared_entries(baseline, candidate))).records,
+        read_dump(bench_dump(_shared_entries(candidate, baseline))).records,
         measure=measure, metric=metric, top=top, min_support=1,
     )
+
+
+def _shared_entries(report: Dict, other: Dict) -> Dict:
+    """``report`` with each timed section cut to the keys ``other`` has."""
+    out = dict(report)
+    for section in SECTIONS:
+        if section.row is None or section.name not in report:
+            continue
+        keys = {section.key_of(e) for e in other.get(section.name) or []}
+        out[section.name] = [e for e in report.get(section.name) or []
+                             if section.key_of(e) in keys]
+    return out

@@ -28,7 +28,8 @@ a bare dict miss per call, never a rule-evaluation loop.  ``repro.bench
 10 ms of timer slack per planner run.
 
 Side-effect kinds (``crash``, ``hang``, ``slow``, ``error``) are executed
-by :meth:`FaultInjector.fire` itself; transport kinds (``corrupt``,
+by :func:`execute_fault` — for :meth:`FaultInjector.fire` and for a
+request's own ``fault`` hook alike; transport kinds (``corrupt``,
 ``duplicate``, ``wrong_id``, ``crash_after_send``, ``drop``) are returned
 to the caller, which owns the pipe and must interpret them.
 """
@@ -48,9 +49,12 @@ __all__ = [
     "FaultRule",
     "FaultPlan",
     "FaultInjector",
+    "CRASH_EXIT_CODE",
+    "HANG_SECONDS",
     "SIDE_EFFECT_KINDS",
     "TRANSPORT_KINDS",
     "SITES",
+    "execute_fault",
     "get_injector",
     "set_injector",
     "install_plan",
@@ -83,8 +87,36 @@ SITES = (
     "shard.replicate",   # sharded cache: per replica (non-primary) write
 )
 
-_EXIT_CODE = 87          # matches service.worker.CRASH_EXIT_CODE
-_HANG_SECONDS = 3600.0   # matches service.worker._HANG_SECONDS
+#: Exit status of an injected ``crash``: post-mortems and the recovery
+#: scenarios tell a deliberate crash from any other death by it.
+CRASH_EXIT_CODE = 87
+
+#: How long an injected ``hang`` sleeps — forever next to any realistic
+#: deadline, so the supervisor's timeout reaps the process first.
+HANG_SECONDS = 3600.0
+
+
+def execute_fault(kind: str, message: str = "injected fault",
+                  delay_s: float = 0.0, sleep=time.sleep) -> Optional[str]:
+    """Execute one fault of ``kind``; return it if it is a transport kind.
+
+    ``slow`` sleeps ``delay_s`` and ``hang`` sleeps :data:`HANG_SECONDS`
+    (both then return ``None``), ``crash`` exits the process with
+    :data:`CRASH_EXIT_CODE`, and ``error`` raises :class:`FaultInjected`
+    carrying ``message``.  Any other kind is returned for the caller (the
+    owner of the pipe) to apply.
+    """
+    if kind == "slow":
+        sleep(delay_s)
+    elif kind == "hang":
+        sleep(HANG_SECONDS)
+    elif kind == "crash":
+        os._exit(CRASH_EXIT_CODE)
+    elif kind == "error":
+        raise FaultInjected(message)
+    else:
+        return kind
+    return None
 
 
 @dataclass(frozen=True)
@@ -267,19 +299,13 @@ class FaultInjector:
                 continue
             state.fires += 1
             self.fired.append((site, rule.kind))
-            if rule.kind == "slow":
-                self._sleep(rule.delay_s)
-                continue
-            if rule.kind == "hang":
-                self._sleep(_HANG_SECONDS)
-                continue
-            if rule.kind == "crash":
-                os._exit(_EXIT_CODE)
-            if rule.kind == "error":
-                raise FaultInjected(
-                    f"injected fault at {site}" + (f" ({detail})" if detail else "")
-                )
-            return rule.kind  # transport kinds: caller interprets
+            transport = execute_fault(
+                rule.kind,
+                f"injected fault at {site}" + (f" ({detail})" if detail else ""),
+                rule.delay_s, self._sleep,
+            )
+            if transport is not None:
+                return transport  # the caller interprets it
         return None
 
     def counts(self) -> Dict[str, int]:

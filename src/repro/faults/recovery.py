@@ -67,6 +67,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.faults import CRASH_EXIT_CODE
 from repro.service.journal import (
     DEFAULT_QUARANTINE_THRESHOLD,
     TERMINAL_KINDS,
@@ -84,10 +85,6 @@ __all__ = [
 
 RECOVERY_SCHEMA = 1
 RECOVERY_EMITTER = "repro.faults.recovery"
-
-#: Exit status of an injected ``crash`` (``os._exit`` in repro.faults) —
-#: the scenarios assert the child died *this* way, not some other way.
-CRASH_EXIT_CODE = 87
 
 #: Watchdog for one child run: generous, because a child that outlives it
 #: is deadlocked (the scenarios themselves finish in seconds).

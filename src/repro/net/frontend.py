@@ -58,6 +58,7 @@ from repro.service.breaker import OPEN
 from repro.service.pool import PoolConfig
 from repro.service.runner import PlanningService
 from repro.service.request import PlanRequest, PlanResponse
+from repro.service.telemetry import TelemetrySink
 from repro.net.wire import (
     error_body,
     http_status_for,
@@ -215,6 +216,19 @@ class _Engine(threading.Thread):
         self.service.close()
 
 
+class _NoHistory(TelemetrySink):
+    """Telemetry that keeps no per-job rows.
+
+    A front end serves for the life of its process and reads no job
+    history (``/metrics`` and ``/healthz`` come from the registry, the
+    cache and the pool), so appending one row per served request would
+    only grow without bound.
+    """
+
+    def record(self, record, counter=None) -> None:
+        pass
+
+
 class PlanFrontEnd:
     """The HTTP server: admission control at the edge, engine behind it."""
 
@@ -247,6 +261,7 @@ class PlanFrontEnd:
             pool_config=pool_config,
             cache=cache,
             journal=journal,
+            telemetry=_NoHistory(),
         )
         self.engine = _Engine(self.service, cfg.max_batch,
                               prepare=self._recover)

@@ -1,4 +1,4 @@
-"""``repro.obs``: planner-wide observability — tracing, metrics, events.
+"""``repro.obs``: planner-wide observability — tracing, metrics, drill-down.
 
 Three zero-dependency primitives, wired through every layer of the engine:
 
@@ -8,11 +8,11 @@ Three zero-dependency primitives, wired through every layer of the engine:
 * :mod:`repro.obs.metrics` — counters / gauges / fixed-bucket histograms,
   exportable as Prometheus text format and JSON, mergeable across process
   boundaries.
-* :mod:`repro.obs.events` — structured JSONL event log with run/job
-  correlation ids.
 * :mod:`repro.obs.rca` — multi-dimensional root-cause drill-down: given
-  two dumps of its one row format (or one dump split by a predicate), rank the attribute combinations explaining a metric delta
-  (``python -m repro.obs rca``).
+  two dumps of its one row format (or one dump split by a predicate),
+  rank the attribute combinations explaining a metric delta
+  (``python -m repro.obs rca``).  The service's per-request row is
+  :class:`repro.service.telemetry.JobRecord`, one per settled response.
 
 Both the tracer and the registry have process-global instances that start
 *disabled*: instrumentation sites pay one attribute check and the planner's
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.obs.events import EventLog, new_run_id, read_events
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -200,7 +199,6 @@ class _Phase:
 __all__ = [
     "Counter",
     "DimensionalRecord",
-    "EventLog",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -218,12 +216,10 @@ __all__ = [
     "get_tracer",
     "install",
     "load_dump",
-    "new_run_id",
     "observe",
     "observing",
     "parse_prometheus",
     "percentile",
-    "read_events",
     "restore",
     "set_registry",
     "set_tracer",

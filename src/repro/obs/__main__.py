@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.obs report --trace /tmp/t.json --metrics /tmp/m.prom
-    python -m repro.obs report --metrics /tmp/m.prom --events /tmp/e.jsonl
+    python -m repro.obs report --metrics /tmp/m.prom
     python -m repro.obs report --trace /tmp/t.json --json
 
     python -m repro.obs rca baseline.json candidate.json --metric p95
@@ -11,7 +11,7 @@ Usage::
     python -m repro.obs rca-smoke --out rca-report.json
 
 ``report`` merges the files a traced run exported (``repro.cli --trace
---metrics`` or ``repro.service --trace --metrics --events``) into the
+--metrics`` or ``repro.service --trace --metrics``) into the
 per-phase time/MAC breakdown table; ``--json`` emits the merged structure
 machine-readably instead.
 
@@ -40,14 +40,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     report = sub.add_parser(
-        "report", help="merge trace/metrics/events files into a run profile"
+        "report", help="merge trace/metrics files into a run profile"
     )
     report.add_argument("--trace", default=None,
                         help="Chrome trace_event JSON from a traced run")
     report.add_argument("--metrics", default=None,
                         help="Prometheus .prom (or registry .json) export")
-    report.add_argument("--events", default=None,
-                        help="JSONL event log from a service run")
     report.add_argument("--json", action="store_true",
                         help="print the merged report as JSON")
 
@@ -135,13 +133,11 @@ def _run_rca(args) -> int:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "report":
-        if args.trace is None and args.metrics is None and args.events is None:
-            print("repro.obs report: need --trace, --metrics, and/or --events",
+        if args.trace is None and args.metrics is None:
+            print("repro.obs report: need --trace and/or --metrics",
                   file=sys.stderr)
             return 2
-        report = report_from_files(
-            trace=args.trace, metrics=args.metrics, events=args.events
-        )
+        report = report_from_files(trace=args.trace, metrics=args.metrics)
         if args.json:
             print(json.dumps(report, indent=2))
         else:

@@ -1,11 +1,11 @@
-"""Merge exported trace/metrics/events files into a per-phase breakdown.
+"""Merge exported trace/metrics files into a per-phase breakdown.
 
 ``python -m repro.obs report`` is the offline half of the observability
 layer: given the Chrome-trace JSON and Prometheus (or JSON) metrics file a
 traced run produced, it reconstructs the paper's Fig-3-style cost split —
 per planner phase (sample / nearest / steer / collision / rewire / repair),
 wall time from the spans and MAC-equivalents from the phase counters, plus
-the per-category MAC table and a digest of the event log when one is given.
+the per-category MAC table.
 
 Everything here reads the *exported* artifacts, so reports can be built on
 a different machine (or much later) than the run that produced them.
@@ -17,7 +17,6 @@ import json
 import pathlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.events import read_events
 from repro.obs.metrics import parse_prometheus
 
 #: Canonical phase order (kept in sync with ``repro.obs.PHASES`` — restated
@@ -76,7 +75,6 @@ def _label_map(
 def build_report(
     trace_events: Optional[List[Dict]] = None,
     metrics: Optional[Dict[str, List[Tuple[Dict[str, str], float]]]] = None,
-    events: Optional[List[Dict]] = None,
 ) -> Dict:
     """Merge loaded artifacts into one plain-data report structure."""
     metrics = metrics or {}
@@ -210,19 +208,6 @@ def build_report(
             ),
         },
     }
-
-    if events is not None:
-        run_ids = sorted({e.get("run_id", "?") for e in events})
-        timestamps = [e["ts"] for e in events if "ts" in e]
-        kinds: Dict[str, int] = {}
-        for e in events:
-            kinds[e.get("event", "?")] = kinds.get(e.get("event", "?"), 0) + 1
-        report["events"] = {
-            "count": len(events),
-            "run_ids": run_ids,
-            "span_s": (max(timestamps) - min(timestamps)) if timestamps else 0.0,
-            "by_kind": dict(sorted(kinds.items())),
-        }
     return report
 
 
@@ -370,27 +355,17 @@ def render_report(report: Dict) -> str:
         blocks.append(
             "other spans\n" + _format_table(["span", "calls", "total_ms"], rows)
         )
-
-    events = report.get("events")
-    if events:
-        kinds = ", ".join(f"{k}={v}" for k, v in events["by_kind"].items())
-        blocks.append(
-            f"events: {events['count']} over {events['span_s']:.3f} s "
-            f"(runs: {', '.join(events['run_ids'])})\n  {kinds}"
-        )
     return "\n\n".join(blocks)
 
 
 def report_from_files(
     trace: Optional[str] = None,
     metrics: Optional[str] = None,
-    events: Optional[str] = None,
 ) -> Dict:
     """Convenience: load whichever artifact paths are given and merge."""
-    if trace is None and metrics is None and events is None:
-        raise ValueError("need at least one of trace/metrics/events")
+    if trace is None and metrics is None:
+        raise ValueError("need at least one of trace/metrics")
     return build_report(
         trace_events=load_trace(trace) if trace else None,
         metrics=load_metrics(metrics) if metrics else None,
-        events=read_events(events) if events else None,
     )

@@ -88,9 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="collect planner metrics across workers; "
                                 "write Prometheus text (or JSON if PATH ends "
                                 "in .json) here")
-    obs_group.add_argument("--events", default=None, metavar="PATH",
-                           help="write the service's structured JSONL event "
-                                "log here")
     return parser
 
 
@@ -159,8 +156,6 @@ def main(argv: Optional[list] = None) -> int:
                 args.out,
                 cache_stats=service.cache.stats(),
             )
-        if args.events is not None:
-            service.events.dump(args.events)
 
     if observing:
         from repro import obs

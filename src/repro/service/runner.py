@@ -11,11 +11,12 @@ request, in order, after routing each through:
    result (and count as cache hits, which is what they are).
 3. **The worker pool** — misses fan out across processes with timeouts,
    retries, and crash isolation (:mod:`repro.service.pool`).
-4. **Telemetry** — every response (hit, miss, or structured failure)
-   becomes a :class:`~repro.service.telemetry.JobRecord`, is appended to
-   the service's JSONL :class:`~repro.obs.EventLog`, and — for traced
-   requests — has its worker-side span buffer and metric deltas absorbed
-   into the ambient ``repro.obs`` tracer/registry, tagged with the job id.
+4. **Telemetry** — every settled response (hit, miss, race member, or
+   structured failure) passes through one observe path: it becomes one
+   :class:`~repro.service.telemetry.JobRecord` (a portfolio race records
+   each member, not the parent it synthesizes) and — for traced requests
+   — has its worker-side span buffer and metric deltas absorbed into the
+   ambient ``repro.obs`` tracer/registry, tagged with the job id.
 
 The pool is created lazily and reused across batches, so worker start-up
 cost is amortised over the service lifetime — the request-level analogue of
@@ -33,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core import portfolio as portfolio_mod
 from repro.core.moped import config_for_variant
 from repro.core.world import PlanningTask
-from repro.obs import EventLog, bump, get_registry, get_tracer
+from repro.obs import bump, get_registry, get_tracer
 from repro.service.cache import PlanCache
 from repro.service.jobs import DONE, FAILED, Job, JobQueue
 from repro.service.journal import JobJournal
@@ -76,10 +77,6 @@ class PlanningService:
         #: front-end processes share cached plans.
         self.cache = cache if cache is not None else PlanCache(cache_capacity)
         self.telemetry = telemetry if telemetry is not None else TelemetrySink()
-        #: Structured JSONL event log; every event carries this service
-        #: instance's ``run_id`` so traces, telemetry records, and events
-        #: from one run correlate.
-        self.events = EventLog()
         #: Learned portfolio win-rate table driving ``portfolio=("auto",)``.
         #: Pass an instance to share across services, or a path to persist.
         self.portfolio_stats = (
@@ -163,14 +160,11 @@ class PlanningService:
         for record in state.quarantined:
             rid = str(record.get("request_id", ""))
             self.journal.record_done(rid, "poison")
-            self._observe_response(
-                PlanResponse(
-                    request_id=rid, status="poison",
-                    error="quarantined by recovery: job repeatedly "
-                          "interrupted the process mid-dispatch",
-                ),
-                job_id=None,
-            )
+            self._observe(PlanResponse(
+                request_id=rid, status="poison",
+                error="quarantined by recovery: job repeatedly "
+                      "interrupted the process mid-dispatch",
+            ))
             bump("repro_recovery_replayed_total",
                  help="Journal admits settled by crash recovery",
                  outcome="quarantined")
@@ -185,11 +179,10 @@ class PlanningService:
             except InvalidRequest as exc:
                 invalid += 1
                 self.journal.record_done(rid, "invalid")
-                self._observe_response(
-                    PlanResponse(request_id=rid, status="invalid",
-                                 error=f"unreplayable admit record: {exc}"),
-                    job_id=None,
-                )
+                self._observe(PlanResponse(
+                    request_id=rid, status="invalid",
+                    error=f"unreplayable admit record: {exc}",
+                ))
                 bump("repro_recovery_replayed_total",
                      help="Journal admits settled by crash recovery",
                      outcome="invalid")
@@ -200,14 +193,6 @@ class PlanningService:
                  outcome="replayed")
         responses = self.run_batch(requests) if requests else []
         self.journal.sync()
-        self.events.emit(
-            "recovery.done",
-            replayed=len(requests),
-            quarantined=len(state.quarantined),
-            invalid=invalid,
-            torn=state.torn,
-            records=state.records,
-        )
         return {
             "enabled": True,
             "replayed": len(requests),
@@ -220,137 +205,113 @@ class PlanningService:
 
     def run_batch(self, requests: Sequence[PlanRequest]) -> List[PlanResponse]:
         """Plan a batch; one response per request, original order."""
-        tracer = get_tracer()
-        with tracer.span(
-            "service.batch", run_id=self.events.run_id, requests=len(requests)
-        ):
-            self.events.emit("batch.start", requests=len(requests))
-            responses = self._run_batch_inner(requests)
-            self.events.emit(
-                "batch.end",
-                requests=len(requests),
-                ok=sum(1 for r in responses if r.status == "ok"),
-            )
-        return responses
+        with get_tracer().span("service.batch", requests=len(requests)):
+            responses: List[Optional[PlanResponse]] = [None] * len(requests)
+            queue = JobQueue()
+            job_index: Dict[int, Tuple[int, Optional[str]]] = {}
+            leaders: Dict[str, int] = {}
+            followers: Dict[str, List[int]] = {}
+            races: Dict[int, Dict] = {}  # request index -> race bookkeeping
+            race_jobs: Dict[int, int] = {}  # member job_id -> request index
 
-    def _run_batch_inner(self, requests: Sequence[PlanRequest]) -> List[PlanResponse]:
-        responses: List[Optional[PlanResponse]] = [None] * len(requests)
-        queue = JobQueue()
-        job_index: Dict[int, Tuple[int, Optional[str]]] = {}
-        leaders: Dict[str, int] = {}
-        followers: Dict[str, List[int]] = {}
-        races: Dict[int, Dict] = {}  # request index -> race bookkeeping
-        race_jobs: Dict[int, int] = {}  # member job_id -> request index
-
-        journal = self.journal
-        for i, request in enumerate(requests):
-            if journal is not None and not getattr(request, "recovered", False):
-                # Write-ahead: admission is durable before any work starts.
-                # Recovered requests are already in the journal — their
-                # original admit record is the one being settled.
-                journal.record_admit(request)
-            if request.portfolio:
-                # Portfolio race: expand into K member jobs sharing a race
-                # token.  Races bypass the cache both ways — each race is a
-                # fresh controlled experiment, and the parent response is a
-                # synthesis, not a single planner's cacheable answer.
+            journal = self.journal
+            for i, request in enumerate(requests):
+                if journal is not None and not getattr(request, "recovered", False):
+                    # Write-ahead: admission is durable before any work starts.
+                    # Recovered requests are already in the journal — their
+                    # original admit record is the one being settled.
+                    journal.record_admit(request)
+                if request.portfolio:
+                    # Portfolio race: expand into K member jobs sharing a race
+                    # token.  Races bypass the cache both ways — each race is a
+                    # fresh controlled experiment, and the parent response is a
+                    # synthesis, not a single planner's cacheable answer.
+                    if journal is not None:
+                        journal.record_dispatch(request.request_id)
+                    self._start_race(i, request, queue, races, race_jobs)
+                    continue
+                # Faulted and traced requests always execute (chaos hooks and
+                # observability runs both want a real execution, not a replay).
+                key = None if (request.fault or request.trace) else request.cache_key()
+                if key is not None:
+                    if key in leaders:  # coalesce before a (miss-counting) lookup
+                        followers.setdefault(key, []).append(i)
+                        continue
+                    cached = self.cache.get(key, request.request_id)
+                    if cached is not None:
+                        responses[i] = cached
+                        self._observe(cached, request=request)
+                        continue
                 if journal is not None:
                     journal.record_dispatch(request.request_id)
-                self._start_race(i, request, queue, races, race_jobs)
-                continue
-            # Faulted and traced requests always execute (chaos hooks and
-            # observability runs both want a real execution, not a replay).
-            key = None if (request.fault or request.trace) else request.cache_key()
-            if key is not None:
-                if key in leaders:  # coalesce before a (miss-counting) lookup
-                    followers.setdefault(key, []).append(i)
+                job = queue.submit(request, time.monotonic())
+                job_index[job.job_id] = (i, key)
+                if key is not None:
+                    leaders[key] = job.job_id
+
+            if self.inline:
+                jobs = self._run_inline(queue)
+            else:
+                pool = self._ensure_pool()
+                on_settle = None
+                if races:
+                    def on_settle(job: Job) -> None:
+                        # First feasible member wins; flip the shared bit so the
+                        # losers degrade out through the cancel -> deadline path.
+                        idx = race_jobs.get(job.job_id)
+                        if idx is None:
+                            return
+                        race = races[idx]
+                        race["jobs"][job.job_id] = job
+                        response = job.response
+                        if (race["winner_job"] is None and response is not None
+                                and response.status == "ok" and response.success):
+                            race["winner_job"] = job.job_id
+                            pool.cancel_race(race["token"])
+                try:
+                    jobs = pool.run(queue, on_settle=on_settle)
+                finally:
+                    for race in races.values():
+                        pool.clear_race(race["token"])
+
+            for job in jobs:
+                if job.job_id in race_jobs:
+                    races[race_jobs[job.job_id]]["jobs"][job.job_id] = job
                     continue
-                cached = self.cache.get(key, request.request_id)
-                if cached is not None:
-                    responses[i] = cached
-                    self._observe_response(cached, job_id=None, request=request)
-                    continue
-            if journal is not None:
-                journal.record_dispatch(request.request_id)
-            job = queue.submit(request, time.monotonic())
-            job_index[job.job_id] = (i, key)
-            if key is not None:
-                leaders[key] = job.job_id
-
-        if self.inline:
-            jobs = self._run_inline(queue)
-        else:
-            pool = self._ensure_pool()
-            on_settle = None
-            if races:
-                def on_settle(job: Job) -> None:
-                    # First feasible member wins; flip the shared bit so the
-                    # losers degrade out through the cancel -> deadline path.
-                    idx = race_jobs.get(job.job_id)
-                    if idx is None:
-                        return
-                    race = races[idx]
-                    race["jobs"][job.job_id] = job
-                    response = job.response
-                    if (race["winner_job"] is None and response is not None
-                            and response.status == "ok" and response.success):
-                        race["winner_job"] = job.job_id
-                        pool.cancel_race(race["token"])
-            try:
-                jobs = pool.run(queue, on_settle=on_settle)
-            finally:
-                for race in races.values():
-                    pool.clear_race(race["token"])
-
-        for job in jobs:
-            if job.job_id in race_jobs:
-                races[race_jobs[job.job_id]]["jobs"][job.job_id] = job
-                continue
-            i, key = job_index[job.job_id]
-            response = job.response
-            assert response is not None
-            responses[i] = response
-            self._absorb_job_obs(job.job_id, response)
-            self.telemetry.record(record_from_job(job), counter=response.counter())
-            self.events.emit(
-                "job.done",
-                job_id=job.job_id,
-                request_id=response.request_id,
-                status=response.status,
-                cache_hit=False,
-                worker_id=response.worker_id,
-                attempts=job.attempts,
-                plan_seconds=response.plan_seconds,
-            )
-            if key is not None and response.status == "ok":
-                self.cache.put(key, replace(response))
-
-        for i, race in races.items():
-            responses[i] = self._finalise_race(race)
-
-        for key, indices in followers.items():
-            leader_i = job_index[leaders[key]][0]
-            leader = responses[leader_i]
-            assert leader is not None
-            for i in indices:
-                hit = self.cache.get(key, requests[i].request_id)
-                if hit is None:  # leader failed; echo its failure (miss counted)
-                    hit = replace(leader, request_id=requests[i].request_id)
-                responses[i] = hit
-                self._observe_response(hit, job_id=None, request=requests[i])
-
-        if journal is not None:
-            # Terminal records for the whole batch, then one sync: in
-            # fsync="batch" mode at most one batch of terminal statuses is
-            # at risk, and a lost ``done`` only means a redundant (and
-            # idempotent, cache-served) replay after the next crash.
-            for request, response in zip(requests, responses):
+                i, key = job_index[job.job_id]
+                response = job.response
                 assert response is not None
-                journal.record_done(request.request_id, response.status)
-            journal.sync()
+                responses[i] = response
+                self._observe(response, job=job)
+                if key is not None and response.status == "ok":
+                    self.cache.put(key, replace(response))
 
-        assert all(r is not None for r in responses)
-        return responses  # type: ignore[return-value]
+            for i, race in races.items():
+                responses[i] = self._finalise_race(race)
+
+            for key, indices in followers.items():
+                leader_i = job_index[leaders[key]][0]
+                leader = responses[leader_i]
+                assert leader is not None
+                for i in indices:
+                    hit = self.cache.get(key, requests[i].request_id)
+                    if hit is None:  # leader failed; echo its failure (miss counted)
+                        hit = replace(leader, request_id=requests[i].request_id)
+                    responses[i] = hit
+                    self._observe(hit, request=requests[i])
+
+            if journal is not None:
+                # Terminal records for the whole batch, then one sync: in
+                # fsync="batch" mode at most one batch of terminal statuses is
+                # at risk, and a lost ``done`` only means a redundant (and
+                # idempotent, cache-served) replay after the next crash.
+                for request, response in zip(requests, responses):
+                    assert response is not None
+                    journal.record_done(request.request_id, response.status)
+                journal.sync()
+
+            assert all(r is not None for r in responses)
+            return responses  # type: ignore[return-value]
 
     # ------------------------------------------------------------- racing
 
@@ -400,13 +361,6 @@ class PlanningService:
             "winner_job": None,
             "jobs": {},
         }
-        self.events.emit(
-            "race.start",
-            request_id=request.request_id,
-            planners=list(names),
-            signature=signature,
-            token=token,
-        )
 
     def _finalise_race(self, race: Dict) -> PlanResponse:
         """Pick the race winner, account for the losers, learn from the win.
@@ -454,20 +408,7 @@ class PlanningService:
             statuses[name] = response.status
             if response.status == "cancelled":
                 cancelled += 1
-            self._absorb_job_obs(job.job_id, response)
-            self.telemetry.record(
-                record_from_job(job), counter=response.counter()
-            )
-            self.events.emit(
-                "job.done",
-                job_id=job.job_id,
-                request_id=response.request_id,
-                status=response.status,
-                cache_hit=False,
-                worker_id=response.worker_id,
-                attempts=job.attempts,
-                plan_seconds=response.plan_seconds,
-            )
+            self._observe(response, job=job)
 
         summary = {
             "planners": list(race["names"]),
@@ -489,10 +430,8 @@ class PlanningService:
             )
             parent.race = summary
 
-        won = (winner_job is not None
-               and winner_job.response.status == "ok"
-               and winner_job.response.success)
-        if won:
+        if (winner_job is not None and winner_job.response.status == "ok"
+                and winner_job.response.success):
             bump(
                 "repro_portfolio_wins_total",
                 help="Portfolio race wins by planner.",
@@ -500,54 +439,40 @@ class PlanningService:
                 robot=request.task.robot_name,
             )
             self.portfolio_stats.record(race["signature"], winner_name)
-        self.events.emit(
-            "race.done",
-            request_id=request.request_id,
-            winner=winner_name,
-            won=won,
-            planners=list(race["names"]),
-            statuses=statuses,
-            cancelled=cancelled,
-        )
         return parent
 
-    def _observe_response(
+    def _observe(
         self,
         response: PlanResponse,
-        job_id: Optional[int],
+        job: Optional[Job] = None,
         request: Optional[PlanRequest] = None,
     ) -> None:
-        """Telemetry + event for a response that did not run through a job."""
-        self.telemetry.record(
-            record_from_response(response, request=request),
-            counter=response.counter(),
-        )
-        self.events.emit(
-            "job.done",
-            job_id=job_id,
-            request_id=response.request_id,
-            status=response.status,
-            cache_hit=response.cache_hit,
-            worker_id=response.worker_id,
-            attempts=response.attempts,
-            plan_seconds=response.plan_seconds,
-        )
+        """Settle one response into its one per-request telemetry record.
 
-    def _absorb_job_obs(self, job_id: int, response: PlanResponse) -> None:
-        """Fold a traced job's shipped-back buffers into the ambient
-        tracer/registry, tagging every span with the job's identity."""
-        if response.trace_spans:
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.absorb(
-                    response.trace_spans,
-                    job_id=job_id,
-                    request_id=response.request_id,
-                )
-        if response.metric_deltas:
-            registry = get_registry()
-            if registry.enabled:
-                registry.merge_dict(response.metric_deltas)
+        ``job`` is the pool (or inline) job that produced the response: its
+        timings fill the record, and a traced job's shipped-back span
+        buffer and metric deltas are folded into the ambient
+        tracer/registry, every span tagged with the job's identity.  Cache
+        hits, coalesced followers and recovery settlements have no job;
+        they pass the ``request`` when there is one.
+        """
+        if job is None:
+            record = record_from_response(response, request=request)
+        else:
+            record = record_from_job(job)
+            if response.trace_spans:
+                tracer = get_tracer()
+                if tracer.enabled:
+                    tracer.absorb(
+                        response.trace_spans,
+                        job_id=job.job_id,
+                        request_id=response.request_id,
+                    )
+            if response.metric_deltas:
+                registry = get_registry()
+                if registry.enabled:
+                    registry.merge_dict(response.metric_deltas)
+        self.telemetry.record(record, counter=response.counter())
 
     def _run_inline(self, queue: JobQueue) -> List[Job]:
         """Sequential in-process execution (no pool, no timeouts).

@@ -18,16 +18,14 @@ from typing import Optional
 
 from repro.core.metrics import PlanResult
 from repro.errors import InvalidRequest
-from repro.faults import FaultPlan, install_plan
+from repro.faults import (
+    SIDE_EFFECT_KINDS,
+    TRANSPORT_KINDS,
+    FaultPlan,
+    execute_fault,
+    install_plan,
+)
 from repro.service.request import PlanRequest, PlanResponse
-
-#: Exit code a deliberately crashed worker dies with (tests assert on the
-#: *structured* response, but the code makes post-mortems unambiguous).
-CRASH_EXIT_CODE = 87
-
-#: How long the "hang" fault sleeps — effectively forever next to any
-#: realistic per-job timeout.
-_HANG_SECONDS = 3600.0
 
 #: Shared-memory race-cancellation bitmask (a ``multiprocessing.Value``
 #: of 64 bits, one per active race token modulo 64).  ``worker_main``
@@ -37,25 +35,25 @@ _RACE_CANCEL = None
 
 
 def apply_fault(fault: Optional[str]) -> None:
-    """Honour a request's chaos hook (see :class:`PlanRequest.fault`)."""
-    if not fault:
+    """Honour a request's chaos hook (see :class:`PlanRequest.fault`).
+
+    Side effects run through :func:`repro.faults.execute_fault`; transport
+    kinds are honoured at send time by :func:`worker_main`.  ``slow:<s>``
+    and the request-only ``flaky:<flag>`` (crash once, while the flag file
+    exists) carry an argument.
+    """
+    if not fault or fault in TRANSPORT_KINDS:
         return
-    if fault == "hang":
-        time.sleep(_HANG_SECONDS)
-    elif fault == "crash":
-        os._exit(CRASH_EXIT_CODE)
-    elif fault == "error":
-        raise RuntimeError("injected worker error")
-    elif fault.startswith("slow:"):
-        time.sleep(float(fault.split(":", 1)[1]))
-    elif fault.startswith("flaky:"):
-        flag = fault.split(":", 1)[1]
-        if os.path.exists(flag):
+    kind, sep, arg = fault.partition(":")
+    if sep and kind == "flaky":
+        if os.path.exists(arg):
             # Consume the flag first so the retry takes the healthy path.
-            os.unlink(flag)
-            os._exit(CRASH_EXIT_CODE)
-    elif fault in ("corrupt", "duplicate", "wrong_id", "crash_after_send", "drop"):
-        pass  # transport faults: honoured at send time by worker_main
+            os.unlink(arg)
+            execute_fault("crash")
+    elif sep and kind == "slow":
+        execute_fault("slow", delay_s=float(arg))
+    elif fault in SIDE_EFFECT_KINDS and fault != "slow":
+        execute_fault(fault, "injected worker error")
     else:
         raise ValueError(f"unknown fault spec {fault!r}")
 
@@ -196,7 +194,7 @@ def _send_with_faults(conn, job_id: int, response: PlanResponse, kind: Optional[
     if kind == "duplicate":
         conn.send((job_id, response))
     elif kind == "crash_after_send":
-        os._exit(CRASH_EXIT_CODE)
+        execute_fault("crash")
 
 
 def worker_main(worker_id: int, conn, fault_plan: Optional[FaultPlan] = None,
@@ -243,8 +241,7 @@ def worker_main(worker_id: int, conn, fault_plan: Optional[FaultPlan] = None,
                 ).strip(),
             )
         send_kind = None
-        if request.fault in ("corrupt", "duplicate", "wrong_id",
-                             "crash_after_send", "drop"):
+        if request.fault in TRANSPORT_KINDS:
             send_kind = request.fault
         elif injector is not None:
             send_kind = injector.fire("worker.send", detail=f"job {job_id}")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import FaultInjected
 from repro.faults import (
+    HANG_SECONDS,
     SIDE_EFFECT_KINDS,
     SITES,
     TRANSPORT_KINDS,
@@ -11,6 +12,7 @@ from repro.faults import (
     FaultPlan,
     FaultRule,
     clear,
+    execute_fault,
     get_injector,
     install_plan,
     set_injector,
@@ -138,6 +140,41 @@ class TestFaultInjector:
             injector.fire("worker.send")
             injector.fire("worker.recv")
         assert injector.counts() == {"worker.send:drop": 2, "worker.recv:slow": 1}
+
+
+class TestExecuteFault:
+    def test_side_effect_kinds_act_and_transport_kinds_return(self):
+        naps = []
+        assert execute_fault("slow", delay_s=0.25, sleep=naps.append) is None
+        assert execute_fault("hang", sleep=naps.append) is None
+        assert naps == [0.25, HANG_SECONDS]
+        with pytest.raises(FaultInjected, match="boom"):
+            execute_fault("error", "boom")
+        for kind in TRANSPORT_KINDS:
+            assert execute_fault(kind) == kind
+
+    def test_request_hook_runs_the_one_executor(self, monkeypatch, tmp_path):
+        from repro.service import worker
+
+        calls = []
+        monkeypatch.setattr(worker, "execute_fault",
+                            lambda kind, *args, **kw: calls.append(kind))
+        flag = tmp_path / "flag"
+        flag.write_text("")
+        for fault in ("hang", "crash", "error", "slow:0.5",
+                      f"flaky:{flag}", f"flaky:{flag}", "drop", None):
+            worker.apply_fault(fault)
+        # The flag is consumed by the first flaky crash; the retry is clean.
+        assert calls == ["hang", "crash", "error", "slow", "crash"]
+        assert not flag.exists()
+        with pytest.raises(ValueError, match="unknown fault spec"):
+            worker.apply_fault("bogus")
+
+    def test_request_error_message(self):
+        from repro.service.worker import apply_fault
+
+        with pytest.raises(FaultInjected, match="injected worker error"):
+            apply_fault("error")
 
 
 class TestGlobalInjector:

@@ -449,7 +449,6 @@ class TestOneRunGate:
 
         baselines = committed_baselines()
         merged = merge_baselines(list(baselines.values()))
-        edge_only = 0
         for seed in range(40):
             report = perturbed_report(baselines, seed)
             per_file = {name: parent_gate({s: report.get(s, []) for s in sections},
@@ -463,32 +462,52 @@ class TestOneRunGate:
             assert set(labels) == {message.split(": ")[0] for message in old}
             assert set(new) <= set(old)
             assert len(new) < sum(len(e) for k, e in report.items() if k != "schema")
-            # Kernels that pass BENCH_baseline.json but fail the faster
-            # BENCH_edge.json: the second kernel gate must still see them.
-            edge_only += len(
-                {m.split(": ")[0] for m in per_file["BENCH_edge.json"]}
-                - {m.split(": ")[0] for m in per_file["BENCH_baseline.json"]}
-            )
-        assert edge_only > 0
 
-    def test_kernel_failing_only_the_faster_file_fails(self):
-        from repro.bench import merge_baselines
+    def test_drilldown_names_a_planted_slow_kernel(self):
+        # A quick report against the committed baselines: the full-mode
+        # points only the baselines hold (600-sample end-to-end runs,
+        # larger kernel sizes) must not outrank the one slowed kernel.
+        import numpy as np
 
-        baselines = committed_baselines()
-        edge = {(e["kernel"], e["dim"], e["size"]): e
-                for e in baselines["BENCH_edge.json"]["kernels"]}
-        base = next(e for e in baselines["BENCH_baseline.json"]["kernels"]
-                    if edge[(e["kernel"], e["dim"], e["size"])]["batch_s"]
-                    < 0.9 * e["batch_s"])
-        fast = edge[(base["kernel"], base["dim"], base["size"])]
-        # Between 2x the faster and 2x the slower committed time.
-        slow = dict(base, batch_s=fast["batch_s"] + base["batch_s"])
-        report = {"schema": 1, "kernels": [slow]}
-        assert parent_gate(report, baselines["BENCH_baseline.json"]) == []
-        failures = compare_to_baseline(
-            report, merge_baselines(list(baselines.values())))
-        assert failures == parent_gate(report, baselines["BENCH_edge.json"])
-        assert len(failures) == 1
+        import repro.bench as bench
+        from repro.bench import analyze_bench_reports, merge_baselines
+
+        merged = merge_baselines(list(committed_baselines().values()))
+        quick = {(c["kernel"], c["dim"], c["size"])
+                 for c in bench._kernel_cases(True, np.random.default_rng(0))}
+        planted = ("obb_obb_grid", 3, "18x32")
+        kernels = []
+        for e in merged["kernels"]:
+            key = (e["kernel"], e["dim"], e["size"])
+            if key in quick:
+                slow = 3.0 if key == planted else 1.0
+                kernels.append(dict(e, batch_s=e["batch_s"] * slow))
+        e2e = dict(merged["end_to_end"][0], max_samples=300, batch_s=0.5)
+        report = {"schema": 1, "mode": "quick", "kernels": kernels,
+                  "end_to_end": [e2e], "wave": merged["wave"],
+                  "edge": merged["edge"], "connect": merged["connect"]}
+        failures = compare_to_baseline(report, merged)
+        assert [m.split(": ")[0] for m in failures] == [
+            "obb_obb_grid dim=3 size=18x32"]
+        top = analyze_bench_reports(merged, report).findings[0]
+        assert top.attributes.get("kernel") == "obb_obb_grid"
+        assert top.attributes.get("dim") == "3"
+
+    def test_no_gated_key_in_two_committed_files(self):
+        # One committed entry per gated key: a refresh rewrites one file,
+        # and no stale copy elsewhere can bind the gate instead.
+        from repro.bench import SECTIONS
+
+        for section in SECTIONS:
+            if section.factor is None:
+                continue
+            owner = {}
+            for name, report in committed_baselines().items():
+                for e in report.get(section.name) or []:
+                    key = section.key_of(e)
+                    assert key not in owner, (
+                        f"{section.name} {key} in {owner.get(key)} and {name}")
+                    owner[key] = name
 
 
 class TestPlantedDivergence:
@@ -508,6 +527,19 @@ class TestPlantedDivergence:
         monkeypatch.setattr(batch_mod, "aabb_aabb_grid",
                             lambda *a: np.zeros((1, 1), dtype=bool))
         self.check(tmp_path, "kernels", "aabb_aabb_grid .* disagrees")
+
+    def test_end_to_end_without_a_path(self, tmp_path, monkeypatch):
+        import repro.bench as bench
+
+        real = bench.plan
+
+        def no_path(robot, task, config):
+            result = real(robot, task, config)
+            result.success = False
+            return result
+
+        monkeypatch.setattr(bench, "plan", no_path)
+        self.check(tmp_path, "end_to_end", "batch backend found no path")
 
     def test_end_to_end(self, tmp_path, monkeypatch):
         import repro.bench as bench

@@ -98,6 +98,14 @@ class TestRoutes(unittest.TestCase):
         second = self.fx.request("POST", "/plan", body)[1]
         self.assertTrue(second["cache_hit"])
 
+    def test_served_requests_leave_no_per_job_rows(self):
+        for seed in (21, 22, 22):  # two misses and one cache hit
+            body = {"spec": dict(SPEC_BODY["spec"], seed=seed)}
+            self.assertEqual(self.fx.request("POST", "/plan", body)[0], 200)
+        telemetry = self.fx.front.service.telemetry
+        self.assertEqual(telemetry.records, [])
+        self.assertEqual(telemetry.op_totals.total_macs(), 0)
+
     def test_async_mode_roundtrip(self):
         code, body, _ = self.fx.request("POST", "/plan?wait=0", SPEC_BODY)
         self.assertEqual(code, 202)

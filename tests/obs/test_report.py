@@ -6,7 +6,7 @@ import pytest
 
 from repro.obs.__main__ import main as obs_main
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import build_report, render_report, report_from_files
+from repro.obs.report import render_report, report_from_files
 from repro.obs.trace import Tracer
 from tests.obs.test_trace import FakeClock
 
@@ -69,17 +69,6 @@ class TestBuildReport:
         reg.export(path)
         report = report_from_files(metrics=str(path))
         assert report["phases"][0]["phase"] == "rewire"
-
-    def test_events_digest(self):
-        events = [
-            {"event": "batch.start", "run_id": "r1", "ts": 10.0},
-            {"event": "job.done", "run_id": "r1", "ts": 11.5},
-        ]
-        report = build_report(events=events)
-        assert report["events"]["count"] == 2
-        assert report["events"]["run_ids"] == ["r1"]
-        assert report["events"]["span_s"] == pytest.approx(1.5)
-        assert report["events"]["by_kind"] == {"batch.start": 1, "job.done": 1}
 
 
 class TestCli:

@@ -60,6 +60,28 @@ class TestPercentileEdges:
         assert summary == {"p50": None, "p95": None, "mean": None, "max": None}
 
 
+class TestSharedStats:
+    def test_percentile_matches_linear_interpolation(self):
+        values = [1.0, 2.0, 3.0, 4.0]
+        assert percentile(values, 0) == 1.0
+        assert percentile(values, 100) == 4.0
+        assert percentile(values, 50) == 2.5
+        assert percentile([], 50) is None
+
+    def test_percentile_is_the_single_shared_impl(self):
+        from repro.analysis import suite
+        from repro.obs import stats
+        from repro.service import telemetry
+
+        assert telemetry.percentile is stats.percentile
+        assert suite.percentile is stats.percentile
+
+    def test_axis_summary_shape(self):
+        summary = axis_summary([1.0, 2.0, 3.0])
+        assert set(summary) == {"p50", "p95", "mean", "max"}
+        assert summary["max"] == 3.0
+
+
 class TestMergeDictLabelSets:
     def test_disjoint_label_sets_coexist(self):
         reg = MetricsRegistry()

@@ -47,6 +47,21 @@ class TestCachingDeterminism:
         stats = service.cache.stats()
         assert stats["hits"] == 2 and stats["misses"] == 1
 
+    def test_one_record_per_settled_response(self):
+        # Misses, race members, coalesced followers and cache hits each
+        # settle through the one observe path into exactly one record.
+        service = PlanningService(num_workers=0)
+        race = replace(make_request(seed=6, request_id="race"),
+                       portfolio=("connect", "wave"))
+        service.run_batch([make_request(seed=4, request_id="a"),
+                           make_request(seed=4, request_id="b"), race])
+        service.run_batch([make_request(seed=4, request_id="c")])
+        records = service.telemetry.records
+        assert [r.request_id for r in records] == [
+            "a", "race#connect", "race#wave", "b", "c"]
+        assert [r.cache_hit for r in records] == [
+            False, False, False, True, True]
+
     def test_failures_are_not_cached(self):
         service = PlanningService(num_workers=0)
         bad = replace(make_request(seed=4), fault="error")
