@@ -34,7 +34,7 @@ from repro.core.robots import get_robot
 from repro.core.rrtstar import RRTStarPlanner, plan
 from repro.geometry.rotations import random_rotation_2d, random_rotation_3d
 from repro.kernels import batch, reference
-from repro.obs.rca import DUMP_SCHEMA, RcaResult, analyze, read_dump
+from repro.obs.rca import DUMP_SCHEMA, DimensionalRecord, RcaResult, analyze, read_dump
 from repro.workloads.generator import random_task
 
 SCHEMA_VERSION = 1
@@ -1019,31 +1019,42 @@ def analyze_bench_reports(
     baseline: Dict,
     candidate: Dict,
     metric: str = "sum",
-    measure: str = "time_s",
     top: int = 5,
 ) -> RcaResult:
-    """RCA over two bench reports (baseline vs candidate).
+    """RCA of a perf-gate failure: which entries went over their gate.
 
-    The default ``sum(time_s)`` decomposes the total wall-time delta
-    exactly across (section × kernel × dim × size / case) cells, so a
-    perf-gate failure names the offending cell(s).  Only cells present in
-    both reports are compared: the full-mode points a quick run does not
-    produce would otherwise rank first as vanished slices.
+    Each gated point both reports hold is one row per side, measured
+    ``over_gate``: how many baseline times the candidate's time exceeds
+    the section's ``factor`` by (0 within the gate, and on the baseline
+    side).  The default ``sum`` decomposes the total excess exactly
+    across (section × kernel × dim × size / case) cells, so the
+    drill-down names the entries the gate failed and what they share.
+    On absolute time a millisecond wave case that drifted within its own
+    bound would outrank the microsecond kernel that failed, and on time
+    over baseline a host that ran every kernel 1.5x slow would outrank
+    it.  Points only one report holds (the full-mode points a quick run
+    does not produce) are left out.
     """
-    return analyze(
-        read_dump(bench_dump(_shared_entries(baseline, candidate))).records,
-        read_dump(bench_dump(_shared_entries(candidate, baseline))).records,
-        measure=measure, metric=metric, top=top, min_support=1,
-    )
-
-
-def _shared_entries(report: Dict, other: Dict) -> Dict:
-    """``report`` with each timed section cut to the keys ``other`` has."""
-    out = dict(report)
+    base_cut = {"schema": baseline.get("schema")}
+    cand_cut = {"schema": candidate.get("schema")}
     for section in SECTIONS:
-        if section.row is None or section.name not in report:
+        if section.row is None or section.factor is None:
             continue
-        keys = {section.key_of(e) for e in other.get(section.name) or []}
-        out[section.name] = [e for e in report.get(section.name) or []
-                             if section.key_of(e) in keys]
-    return out
+        base_index = {section.key_of(e): e for e in baseline.get(section.name) or []}
+        base_cut[section.name], cand_cut[section.name] = [], []
+        for entry in candidate.get(section.name) or []:
+            base = base_index.get(section.key_of(entry))
+            if base is None:
+                continue
+            ratio = entry[section.time] / base[section.time]
+            base_cut[section.name].append(dict(base, **{section.time: 0.0}))
+            cand_cut[section.name].append(dict(
+                entry, **{section.time: max(0.0, ratio - section.factor)}
+            ))
+
+    def records(report):
+        return [DimensionalRecord(r.attributes, {"over_gate": r.measures["time_s"]})
+                for r in read_dump(bench_dump(report)).records]
+
+    return analyze(records(base_cut), records(cand_cut), measure="over_gate",
+                   metric=metric, top=top, min_support=1)

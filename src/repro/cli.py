@@ -67,11 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ASCII-render 2D workspaces with the path")
     obs_group = parser.add_argument_group("observability (repro.obs)")
     obs_group.add_argument("--trace", default=None, metavar="PATH",
-                           help="record phase spans; write a Chrome trace_event "
-                                "JSON here (open in Perfetto)")
+                           help="record plan and wave spans; write a Chrome "
+                                "trace_event JSON here (open in Perfetto)")
     obs_group.add_argument("--metrics", default=None, metavar="PATH",
-                           help="record planner metrics; write Prometheus text "
-                                "(or JSON if PATH ends in .json) here")
+                           help="record planner metrics (the per-phase table's "
+                                "source); write Prometheus text (or JSON if "
+                                "PATH ends in .json) here")
     return parser
 
 
@@ -92,11 +93,11 @@ def export_observability(args) -> None:
     if args.trace:
         obs.get_tracer().export_chrome(args.trace)
         print(f"trace written to {args.trace} (load in Perfetto or "
-              f"chrome://tracing; report: python -m repro.obs report "
-              f"--trace {args.trace})")
+              f"chrome://tracing)")
     if args.metrics:
         obs.get_registry().export(args.metrics)
-        print(f"metrics written to {args.metrics}")
+        print(f"metrics written to {args.metrics} (per-phase report: "
+              f"python -m repro.obs report --metrics {args.metrics})")
 
 
 def main(argv: Optional[list] = None) -> int:

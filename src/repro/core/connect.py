@@ -53,6 +53,7 @@ closest to the goal, exactly like the RRT\\* anytime path.
 
 from __future__ import annotations
 
+import time
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -64,7 +65,7 @@ from repro.core.robots import RobotModel
 from repro.core.tree import ExpTree
 from repro.core.world import PlanningTask
 from repro.core.rrtstar import _SamplingPlanner
-from repro.obs import PhaseRecorder
+from repro.obs import PhaseRecorder, get_tracer
 
 #: Steering steps per greedy-connect chunk.  A blocked whole-segment
 #: connect advances in chunks of this many steps, each validated as one
@@ -93,15 +94,11 @@ class RRTConnectPlanner(_SamplingPlanner):
         state = self._begin_run()
 
         obs = PhaseRecorder()
-        plan_started = obs.tracer.now()
-        with self._plan_span(obs, mode="connect"):
+        started = time.perf_counter()
+        with self._plan_span(mode="connect"):
             bridge = self._run(counter, obs, state)
 
-        result = self._result(bridge, counter, state)
-        if obs.registry.enabled:
-            self._record_run_metrics(obs, result, counter,
-                                     obs.tracer.now() - plan_started)
-        return result
+        return self._finish_run(obs, self._result(bridge, counter, state), started)
 
     # ---------------------------------------------------------------- run loop
 
@@ -186,8 +183,8 @@ class RRTConnectPlanner(_SamplingPlanner):
         con_key = [None] * width
         con_end: List[Optional[np.ndarray]] = [None] * width
         con_res: List[Optional[tuple]] = [None] * width
-        with obs.tracer.span("wave", width=width,
-                             nodes=len(trees[0]) + len(trees[1])):
+        with get_tracer().span("wave", width=width,
+                               nodes=len(trees[0]) + len(trees[1])):
             # One distance matrix per tree (both are needed: extensions hit
             # the alternating active tree, connects hit the other one).
             d_sq = []

@@ -135,6 +135,12 @@ class PlanResult:
     #: for solved runs, the remaining gap for a degraded prefix path, and
     #: None when no path at all was produced.
     best_goal_distance: Optional[float] = None
+    #: Per-planner-phase ``{phase: {"seconds", "calls", "macs"}}`` from the
+    #: run's :class:`~repro.obs.PhaseRecorder`.  Holds wall times, so it is
+    #: left out of equality, :meth:`brief` and archival.
+    phases: Dict[str, Dict[str, float]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def degraded(self) -> bool:

@@ -51,7 +51,7 @@ import numpy as np
 from repro.core.collision import make_checker
 from repro.core.config import PlannerConfig
 from repro.core.counters import OpCounter
-from repro.obs import PhaseRecorder, bump
+from repro.obs import PhaseRecorder, bump, get_registry, get_tracer
 from repro.core.informed import InformedSampler
 from repro.core.metrics import PlanResult, RoundRecord
 from repro.core.neighbors import make_strategy
@@ -177,10 +177,10 @@ class _SamplingPlanner:
         self.checker._injector = self._injector
         return state
 
-    def _plan_span(self, obs, **attrs):
+    def _plan_span(self, **attrs):
         """The run's ``plan`` span (dormant unless tracing is on)."""
         config = self.config
-        return obs.tracer.span(
+        return get_tracer().span(
             "plan",
             robot=self.robot.name,
             dof=self.robot.dof,
@@ -227,9 +227,22 @@ class _SamplingPlanner:
         result caches."""
         return {}
 
-    def _record_run_metrics(self, obs, result, counter, elapsed_s: float) -> None:
-        """Run-level metrics: plan count/latency and Fig-3 MAC categories."""
-        registry = obs.registry
+    def _finish_run(self, obs: PhaseRecorder, result: PlanResult,
+                    started: float) -> PlanResult:
+        """Attach the run's phase totals to ``result`` and, with metrics
+        on, record the run."""
+        result.phases = obs.totals()
+        registry = get_registry()
+        if registry.enabled:
+            self._record_run_metrics(
+                registry, result, time.perf_counter() - started
+            )
+        return result
+
+    @staticmethod
+    def _record_run_metrics(registry, result: PlanResult, elapsed_s: float) -> None:
+        """Run-level metrics: plan count/latency, Fig-3 MAC categories and
+        the per-phase totals (the only writer of ``repro_phase_*``)."""
         registry.counter("repro_plans_total", "Completed planning runs").inc(
             outcome="success" if result.success else "failure"
         )
@@ -239,10 +252,24 @@ class _SamplingPlanner:
         registry.histogram(
             "repro_plan_seconds", "End-to-end planner wall time"
         ).observe(elapsed_s)
-        for category, macs in counter.macs_by_category().items():
+        for category, macs in result.counter.macs_by_category().items():
             registry.counter(
                 "repro_macs_total", "MAC-equivalents by cost-model category"
             ).inc(macs, category=category)
+        seconds = registry.counter(
+            "repro_phase_seconds_total", "Wall seconds spent per planner phase"
+        )
+        calls = registry.counter(
+            "repro_phase_calls_total", "Times each planner phase executed"
+        )
+        macs = registry.counter(
+            "repro_phase_macs_total", "MAC-equivalents accumulated per planner phase"
+        )
+        for phase, entry in result.phases.items():
+            seconds.inc(entry["seconds"], phase=phase)
+            calls.inc(entry["calls"], phase=phase)
+            if entry["macs"]:
+                macs.inc(entry["macs"], phase=phase)
 
     @staticmethod
     def _round_record(diff: OpCounter, accepted, missing_used=0, repaired=False,
@@ -295,11 +322,9 @@ class RRTStarPlanner(_SamplingPlanner):
         self._neighborhood_macs = 0.0
         state = self._begin_run()
 
-        # Observability front end: with tracing/metrics off this binds the
-        # dormant globals and every obs.phase() below is one attribute check.
         obs = PhaseRecorder()
-        plan_started = obs.tracer.now()
-        with self._plan_span(obs):
+        started = time.perf_counter()
+        with self._plan_span():
             self._run(tree, counter, obs, state)
 
         self._cost_history = state.cost_history
@@ -308,9 +333,7 @@ class RRTStarPlanner(_SamplingPlanner):
             state.rounds, len(state.rounds),
             degraded_reason=state.degraded_reason,
         )
-        if obs.registry.enabled:
-            self._record_run_metrics(obs, result, counter, obs.tracer.now() - plan_started)
-        return result
+        return self._finish_run(obs, result, started)
 
     def _run(self, tree, counter, obs, state) -> None:
         """The sampling loop: waves of up to ``wave_width`` samples.
@@ -485,7 +508,7 @@ class RRTStarPlanner(_SamplingPlanner):
         spec_new: List[Optional[np.ndarray]] = [None] * width
         #: Per-sample whole-edge (verdict, events) for the commit replay.
         spec_results: List[Optional[tuple]] = [None] * width
-        with obs.tracer.span("wave", width=width, nodes=n0):
+        with get_tracer().span("wave", width=width, nodes=n0):
             diffs = points[None, :, :] - xs[:, None, :]
             d_sq = np.einsum("wnd,wnd->wn", diffs, diffs)
             seg_starts = []
@@ -782,7 +805,7 @@ class RRTStarPlanner(_SamplingPlanner):
         missing_used = 0
         repaired = False
         if pending:
-            with obs.phase("repair", counter, entries=len(pending)):
+            with obs.phase("repair", counter):
                 (nearest_key, nearest_point, nearest_dist,
                  missing_used, repaired) = self._repair(
                     tree, x_rand, pending, counter,

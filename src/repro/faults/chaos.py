@@ -253,15 +253,20 @@ def schedule_digest(schedule: Sequence[ChaosJob]) -> str:
     Degraded jobs are keyed on their config fingerprint rather than the
     full cache key only because ``cache_key`` re-digests the same fields;
     malformed requests hash their NaN-bearing payloads too (canonical JSON
-    keeps ``NaN`` tokens stable).
+    keeps ``NaN`` tokens stable).  A ``flaky`` job's fault is hashed by
+    its flag file's name alone: the file sits in a per-run ``flag_dir``,
+    and the digest must replay across runs.
     """
     rows = []
     for job in schedule:
         request = job.request
+        fault = request.fault
+        if job.category == "flaky":
+            fault = "flaky:" + os.path.basename(fault.partition(":")[2])
         rows.append({
             "category": job.category,
             "request_id": request.request_id,
-            "fault": request.fault,
+            "fault": fault,
             "timeout_s": request.timeout_s,
             "seed": request.config.seed,
             "max_samples": request.config.max_samples,

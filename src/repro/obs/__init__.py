@@ -17,9 +17,13 @@ Three zero-dependency primitives, wired through every layer of the engine:
 Both the tracer and the registry have process-global instances that start
 *disabled*: instrumentation sites pay one attribute check and the planner's
 behaviour (and throughput, to within noise) is unchanged until
-:func:`configure` switches them on.  ``python -m repro.obs report`` merges
-the exported files back into the per-phase cost breakdown the paper's
-figures are built from.
+:func:`configure` switches them on.  Planner phases are timed apart from
+both: every run keeps one always-on :class:`PhaseRecorder` whose per-phase
+seconds, calls and MACs land in the run's
+:attr:`~repro.core.metrics.PlanResult.phases` (and, with metrics on, in the
+``repro_phase_*`` counters).  ``python -m repro.obs report`` reads those
+counters back from the exported metrics file as the per-phase cost
+breakdown the paper's figures are built from.
 
 Quickstart::
 
@@ -33,6 +37,7 @@ Quickstart::
 
 from __future__ import annotations
 
+import time
 from typing import Dict, Optional
 
 from repro.obs.metrics import (
@@ -57,7 +62,6 @@ from repro.obs.rca import (
 from repro.obs.stats import axis_summary, percentile
 from repro.obs.trace import (
     Tracer,
-    aggregate_spans,
     get_tracer,
     set_tracer,
     traced,
@@ -97,103 +101,52 @@ def restore(previous) -> None:
 
 
 class PhaseRecorder:
-    """Per-phase instrumentation front end for the planner loop.
+    """Per-run planner-phase accumulator: wall seconds, calls and MACs.
 
-    Binds the global tracer and registry once; each :meth:`phase` call then
-    opens a span *and* accumulates per-phase wall time / MAC counters, or —
-    when both instruments are off — returns a shared no-op context manager
-    so the hot loop's overhead is one attribute check per phase.
+    Always on and bound to no instrument: each planner run makes one, and
+    every ``with recorder.phase(name, counter): ...`` adds the phase's
+    ``time.perf_counter`` seconds, one call, and the MAC-equivalents
+    ``counter`` (the round's :class:`~repro.core.counters.OpCounter`)
+    gained during it.  :meth:`totals` is what lands in
+    :attr:`repro.core.metrics.PlanResult.phases`; the planner writes the
+    ``repro_phase_*`` metrics from there once per run.
     """
 
-    __slots__ = ("tracer", "registry", "active", "_seconds", "_macs", "_calls")
+    __slots__ = ("_totals", "_open")
 
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        self.tracer = tracer if tracer is not None else get_tracer()
-        self.registry = registry if registry is not None else get_registry()
-        self.active = self.tracer.enabled or self.registry.enabled
-        if self.registry.enabled:
-            self._seconds = self.registry.counter(
-                "repro_phase_seconds_total", "Wall seconds spent per planner phase"
-            )
-            self._macs = self.registry.counter(
-                "repro_phase_macs_total", "MAC-equivalents accumulated per planner phase"
-            )
-            self._calls = self.registry.counter(
-                "repro_phase_calls_total", "Times each planner phase executed"
-            )
-        else:
-            self._seconds = self._macs = self._calls = None
+    def __init__(self):
+        #: ``{phase: [seconds, calls, macs]}``.
+        self._totals: Dict[str, list] = {}
+        #: ``(name, counter, macs at entry, start time)`` of open phases.
+        self._open: list = []
 
-    def phase(self, name: str, counter=None, **args):
-        """Observe one phase: ``with obs.phase("collision", counter): ...``.
-
-        ``counter`` is the run's :class:`~repro.core.counters.OpCounter`;
-        when given, the MAC-equivalents recorded during the phase are
-        attributed to it in the ``repro_phase_macs_total`` counter.
-        """
-        if not self.active:
-            return _NULL_PHASE
-        return _Phase(self, name, counter, args)
-
-
-class _NullPhase:
-    __slots__ = ()
-
-    def __enter__(self):
+    def phase(self, name: str, counter=None) -> "PhaseRecorder":
+        """Time one phase: ``with obs.phase("collision", counter): ...``."""
+        macs = counter.total_macs() if counter is not None else 0.0
+        self._open.append((name, counter, macs, time.perf_counter()))
         return self
 
-    def __exit__(self, *exc):
-        return None
-
-
-_NULL_PHASE = _NullPhase()
-
-
-class _Phase:
-    __slots__ = ("recorder", "name", "counter", "args", "_t0", "_m0")
-
-    def __init__(self, recorder: PhaseRecorder, name: str, counter, args: Dict):
-        self.recorder = recorder
-        self.name = name
-        self.counter = counter
-        self.args = args
-
-    def __enter__(self):
-        rec = self.recorder
-        # The tracer's clock serves both instruments (it exists even when
-        # span recording is off), so metrics-only mode still times phases.
-        self._t0 = rec.tracer.now()
-        if self.counter is not None and rec._macs is not None:
-            self._m0 = self.counter.total_macs()
-        else:
-            self._m0 = None
-        if rec.tracer.enabled:
-            rec.tracer._depth += 1
+    def __enter__(self) -> "PhaseRecorder":
         return self
 
-    def __exit__(self, *exc):
-        rec = self.recorder
-        tracer = rec.tracer
-        if tracer.enabled:
-            t1 = tracer.now()
-            tracer._depth -= 1
-            tracer._append(self.name, self._t0, t1 - self._t0, tracer._depth, self.args)
-            elapsed = t1 - self._t0
-        else:
-            elapsed = None
-        if rec._seconds is not None:
-            if elapsed is None:
-                elapsed = tracer.now() - self._t0
-            rec._seconds.inc(elapsed, phase=self.name)
-            rec._calls.inc(1.0, phase=self.name)
-            if self._m0 is not None:
-                delta = self.counter.total_macs() - self._m0
-                if delta:
-                    rec._macs.inc(delta, phase=self.name)
+    def __exit__(self, *exc) -> None:
+        end = time.perf_counter()
+        name, counter, macs, start = self._open.pop()
+        entry = self._totals.get(name)
+        if entry is None:
+            entry = self._totals[name] = [0.0, 0, 0.0]
+        entry[0] += end - start
+        entry[1] += 1
+        if counter is not None:
+            entry[2] += counter.total_macs() - macs
+
+    def totals(self) -> Dict[str, Dict[str, float]]:
+        """``{phase: {"seconds", "calls", "macs"}}`` of the phases that ran,
+        in :data:`PHASES` order."""
+        return {
+            name: dict(zip(("seconds", "calls", "macs"), self._totals[name]))
+            for name in PHASES if name in self._totals
+        }
 
 
 __all__ = [
@@ -207,7 +160,6 @@ __all__ = [
     "RcaFinding",
     "RcaResult",
     "Tracer",
-    "aggregate_spans",
     "analyze",
     "axis_summary",
     "bump",

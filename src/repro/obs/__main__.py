@@ -10,10 +10,11 @@ Usage::
     python -m repro.obs rca chaos.json --split fault=clean --measure wall_seconds
     python -m repro.obs rca-smoke --out rca-report.json
 
-``report`` merges the files a traced run exported (``repro.cli --trace
---metrics`` or ``repro.service --trace --metrics``) into the
-per-phase time/MAC breakdown table; ``--json`` emits the merged structure
-machine-readably instead.
+``report`` merges the files a run exported (``repro.cli --trace
+--metrics`` or ``repro.service --trace --metrics``) into one profile: the
+per-phase time/MAC breakdown table comes from the metrics file's
+``repro_phase_*`` counters, span totals from the trace; ``--json`` emits
+the merged structure machine-readably instead.
 
 ``rca`` runs the :mod:`repro.obs.rca` drill-down over two dumps of the
 one drill-down row format (or one dump split by an ``attr=value``

@@ -1,11 +1,12 @@
 """Merge exported trace/metrics files into a per-phase breakdown.
 
 ``python -m repro.obs report`` is the offline half of the observability
-layer: given the Chrome-trace JSON and Prometheus (or JSON) metrics file a
-traced run produced, it reconstructs the paper's Fig-3-style cost split —
-per planner phase (sample / nearest / steer / collision / rewire / repair),
-wall time from the spans and MAC-equivalents from the phase counters, plus
-the per-category MAC table.
+layer: given the Prometheus (or JSON) metrics file and/or Chrome-trace JSON
+a run produced, it reconstructs the paper's Fig-3-style cost split — per
+planner phase (sample / nearest / steer / collision / rewire / repair),
+wall time, calls and MAC-equivalents from the ``repro_phase_*`` counters
+the planners write once per run, plus the per-category MAC table.  The
+trace contributes its span totals (``plan``, ``wave``, ``job``, ...).
 
 Everything here reads the *exported* artifacts, so reports can be built on
 a different machine (or much later) than the run that produced them.
@@ -17,11 +18,8 @@ import json
 import pathlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs import PHASES
 from repro.obs.metrics import parse_prometheus
-
-#: Canonical phase order (kept in sync with ``repro.obs.PHASES`` — restated
-#: here so the report module stays importable on its own).
-PHASE_ORDER = ("sample", "nearest", "repair", "steer", "collision", "rewire")
 
 
 # ------------------------------------------------------------------ loading
@@ -78,34 +76,19 @@ def build_report(
 ) -> Dict:
     """Merge loaded artifacts into one plain-data report structure."""
     metrics = metrics or {}
-    phase_time: Dict[str, float] = {}
-    phase_calls: Dict[str, float] = {}
-    other_spans: Dict[str, Dict[str, float]] = {}
+    spans: Dict[str, Dict[str, float]] = {}
+    for event in trace_events or []:
+        entry = spans.setdefault(event.get("name", "?"), {"calls": 0, "total_s": 0.0})
+        entry["calls"] += 1
+        entry["total_s"] += float(event.get("dur", 0.0)) / 1e6
 
-    if trace_events:
-        for event in trace_events:
-            name = event.get("name", "?")
-            dur_s = float(event.get("dur", 0.0)) / 1e6
-            if name in PHASE_ORDER:
-                phase_time[name] = phase_time.get(name, 0.0) + dur_s
-                phase_calls[name] = phase_calls.get(name, 0.0) + 1
-            else:
-                entry = other_spans.setdefault(name, {"calls": 0, "total_s": 0.0})
-                entry["calls"] += 1
-                entry["total_s"] += dur_s
-
-    # Metrics can stand in for (or corroborate) the trace: the planner's
-    # PhaseRecorder maintains the same per-phase axes as counters.
-    metric_time = _label_map(metrics.get("repro_phase_seconds_total", []), "phase")
-    metric_calls = _label_map(metrics.get("repro_phase_calls_total", []), "phase")
+    phase_time = _label_map(metrics.get("repro_phase_seconds_total", []), "phase")
+    phase_calls = _label_map(metrics.get("repro_phase_calls_total", []), "phase")
     phase_macs = _label_map(metrics.get("repro_phase_macs_total", []), "phase")
-    if not phase_time and metric_time:
-        phase_time, phase_calls = metric_time, metric_calls
-
     total_time = sum(phase_time.values())
     total_macs = sum(phase_macs.values())
     phases = []
-    for name in PHASE_ORDER:
+    for name in PHASES:
         if name not in phase_time and name not in phase_macs:
             continue
         seconds = phase_time.get(name, 0.0)
@@ -165,8 +148,8 @@ def build_report(
         "edge_validation": edge_validation,
         "phase_time_s": total_time,
         "phase_macs": total_macs,
-        "other_spans": dict(
-            sorted(other_spans.items(), key=lambda kv: -kv[1]["total_s"])
+        "spans": dict(
+            sorted(spans.items(), key=lambda kv: -kv[1]["total_s"])
         ),
         "categories": _label_map(metrics.get("repro_macs_total", []), "category"),
         "caches": dict(sorted(caches.items())),
@@ -255,11 +238,11 @@ def render_report(report: Dict) -> str:
             )
         )
         blocks.append(
-            f"traced phase time: {report['phase_time_s'] * 1e3:.3f} ms   "
+            f"phase time: {report['phase_time_s'] * 1e3:.3f} ms   "
             f"phase MACs: {report['phase_macs']:.4g}"
         )
     else:
-        blocks.append("no per-phase data (was the run traced with --trace/--metrics?)")
+        blocks.append("no per-phase data (was the run exported with --metrics?)")
 
     categories = report.get("categories") or {}
     if categories:
@@ -346,14 +329,14 @@ def render_report(report: Dict) -> str:
             "service faults\n" + _format_table(["event", "count"], rows)
         )
 
-    other = report.get("other_spans") or {}
-    if other:
+    spans = report.get("spans") or {}
+    if spans:
         rows = [
             [name, int(entry["calls"]), entry["total_s"] * 1e3]
-            for name, entry in other.items()
+            for name, entry in spans.items()
         ]
         blocks.append(
-            "other spans\n" + _format_table(["span", "calls", "total_ms"], rows)
+            "spans\n" + _format_table(["span", "calls", "total_ms"], rows)
         )
     return "\n\n".join(blocks)
 

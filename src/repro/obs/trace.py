@@ -2,10 +2,10 @@
 
 A :class:`Tracer` collects *spans* — named, nested time intervals — into a
 per-process buffer.  Instrumentation sites open spans with the context
-manager (``with tracer.span("collision"): ...``) or the :func:`traced`
+manager (``with tracer.span("wave"): ...``) or the :func:`traced`
 decorator; when the tracer is disabled both collapse to a shared no-op
-object, so the planner's hot loop pays one attribute check per phase and
-allocates nothing.
+object, so a dormant site pays one attribute check and allocates
+nothing.
 
 Spans are stored as plain dicts (JSON- and pickle-safe), which is what lets
 service workers :meth:`~Tracer.drain` their buffers and ship them back over
@@ -24,7 +24,7 @@ import os
 import pathlib
 import time
 from functools import wraps
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional
 
 
 class _NullSpan:
@@ -212,24 +212,6 @@ def traced(name: Optional[str] = None, **span_args):
         return wrapper
 
     return decorate
-
-
-def aggregate_spans(
-    spans: Iterable[Dict], names: Optional[Sequence[str]] = None
-) -> Dict[str, Dict[str, float]]:
-    """Reduce span dicts to per-name ``{calls, total_s}`` aggregates.
-
-    ``names`` restricts (and orders) the output; by default every span name
-    appears, ordered by descending total time.
-    """
-    totals: Dict[str, Dict[str, float]] = {}
-    for span in spans:
-        entry = totals.setdefault(span["name"], {"calls": 0, "total_s": 0.0})
-        entry["calls"] += 1
-        entry["total_s"] += span["dur"]
-    if names is None:
-        return dict(sorted(totals.items(), key=lambda kv: -kv[1]["total_s"]))
-    return {name: totals[name] for name in names if name in totals}
 
 
 #: Process-global tracer instrumentation sites record into.  Disabled by

@@ -81,9 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the summary (with records) here")
     obs_group = parser.add_argument_group("observability (repro.obs)")
     obs_group.add_argument("--trace", default=None, metavar="PATH",
-                           help="trace every job; workers ship span buffers "
-                                "back and the merged Chrome trace_event JSON "
-                                "is written here (open in Perfetto)")
+                           help="trace every job (cache bypassed); workers "
+                                "ship plan/wave span buffers back and the "
+                                "merged Chrome trace_event JSON is written "
+                                "here (open in Perfetto)")
     obs_group.add_argument("--metrics", default=None, metavar="PATH",
                            help="collect planner metrics across workers; "
                                 "write Prometheus text (or JSON if PATH ends "

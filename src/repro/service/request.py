@@ -236,11 +236,12 @@ class PlanResponse:
     #: ``winner``, per-member ``statuses``, loser accounting).
     planner: Optional[str] = None
     race: Dict = field(default_factory=dict)
-    #: Observability payloads (populated only for traced requests): the
-    #: worker-side span buffer, the worker registry snapshot, and the
-    #: per-phase wall-time aggregate the telemetry axes consume.
+    #: Observability payloads of traced requests: the worker-side span
+    #: buffer and the worker registry snapshot.
     trace_spans: List[Dict] = field(default_factory=list)
     metric_deltas: Dict = field(default_factory=dict)
+    #: Per-phase wall seconds of the planner run (every executed request);
+    #: the telemetry's per-phase latency axes consume it.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
     def counter(self) -> OpCounter:

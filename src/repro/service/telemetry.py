@@ -11,10 +11,11 @@ cache hit-rate, and p50/p95/mean/max percentiles for the latency axes.
 Percentiles come from :mod:`repro.obs.stats` — one shared implementation
 (linear interpolation between order statistics, the numpy default) serves
 the service axes, the analysis suites, and the observability reports, and
-keeps the records plain Python.  When jobs ran traced, each record also
-carries the per-phase wall-time split the worker's span buffer produced,
-and the sink folds every job's :class:`~repro.core.counters.OpCounter` into
-one run-level counter via :meth:`OpCounter.merge`.
+keeps the records plain Python.  Each record also carries the per-phase
+wall-time split of the planner run that produced its response
+(:attr:`~repro.core.metrics.PlanResult.phases`), and the sink folds every
+job's :class:`~repro.core.counters.OpCounter` into one run-level counter
+via :meth:`OpCounter.merge`.
 """
 
 from __future__ import annotations
@@ -109,8 +110,9 @@ class JobRecord:
     neighbor_search_macs: float
     samples: int
     error: Optional[str] = None
-    #: Per-phase wall seconds (sample/nearest/...) for traced jobs; empty
-    #: otherwise.  Feeds the summary's per-phase latency axes.
+    #: Per-phase wall seconds (sample/nearest/...) of the planner run;
+    #: empty for responses no planner produced.  Feeds the summary's
+    #: per-phase latency axes.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Drill-down dimensions (robot, planner mode, wave width, fault
     #: state, ...) from :func:`request_attributes` — the axes RCA tooling
@@ -258,7 +260,7 @@ class TelemetrySink:
 
     @staticmethod
     def _phase_axes(records: List[JobRecord]) -> Dict[str, Dict[str, Optional[float]]]:
-        """Per-phase latency axes over the jobs that ran traced."""
+        """Per-phase latency axes over the records that carry phases."""
         names: List[str] = []
         for record in records:
             for name in record.phase_seconds:

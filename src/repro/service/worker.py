@@ -89,6 +89,10 @@ def response_from_result(
         op_events=dict(result.counter.events),
         op_macs=dict(result.counter.macs),
         plan_seconds=plan_seconds,
+        phase_seconds={
+            name: round(entry["seconds"], 9)
+            for name, entry in result.phases.items()
+        },
         degraded_reason=result.degraded_reason,
         best_goal_distance=result.best_goal_distance,
         planner=request.planner,
@@ -102,11 +106,13 @@ def execute_request(request: PlanRequest) -> PlanResponse:
     this for ``num_workers == 0``, and tests exercise planner behaviour
     through it without multiprocessing.
 
-    Traced requests (``request.trace``) run under a *private* tracer and
-    metrics registry installed as the process globals for the duration of
-    the job; the drained span buffer and registry snapshot ship back in the
-    response as plain data, ready to cross the pool pipe.  The supervisor
-    absorbs them tagged with the job id (:mod:`repro.service.runner`).
+    Every response carries the run's per-phase wall seconds
+    (``phase_seconds``).  Traced requests (``request.trace``) also run
+    under a *private* tracer and metrics registry installed as the process
+    globals for the duration of the job; the drained span buffer and
+    registry snapshot ship back in the response as plain data, ready to
+    cross the pool pipe.  The supervisor absorbs them tagged with the job
+    id (:mod:`repro.service.runner`).
     """
     from repro import obs
     from repro.core import cancel as _cancel
@@ -164,12 +170,6 @@ def execute_request(request: PlanRequest) -> PlanResponse:
     if observing:
         response.trace_spans = tracer.drain()
         response.metric_deltas = registry.to_dict()
-        response.phase_seconds = {
-            name: round(entry["total_s"], 9)
-            for name, entry in obs.aggregate_spans(
-                response.trace_spans, names=obs.PHASES
-            ).items()
-        }
     return response
 
 

@@ -27,6 +27,17 @@ class TestSchedule:
         assert schedule_digest(a) == schedule_digest(b)
         assert [j.category for j in a] == [j.category for j in b]
 
+    def test_digest_ignores_the_flag_directory(self, tmp_path):
+        # The replay fingerprint: two runs build their flaky flags in
+        # different temp directories yet must print the same digest.
+        dirs = [tmp_path / "run-a", tmp_path / "run-b"]
+        for path in dirs:
+            path.mkdir()
+        a, b = (build_schedule(3, 40, flag_dir=str(path)) for path in dirs)
+        assert any(j.category == "flaky" for j in a), "no flaky job drawn"
+        assert [j.request.fault for j in a] != [j.request.fault for j in b]
+        assert schedule_digest(a) == schedule_digest(b)
+
     def test_different_seeds_differ(self, tmp_path):
         a = build_schedule(1, 40, flag_dir=str(tmp_path))
         b = build_schedule(2, 40, flag_dir=str(tmp_path))

@@ -493,6 +493,37 @@ class TestOneRunGate:
         assert top.attributes.get("kernel") == "obb_obb_grid"
         assert top.attributes.get("dim") == "3"
 
+    @pytest.mark.parametrize("drift", [1.0, 1.5])
+    def test_drilldown_names_the_failed_kernel_over_drifted_entries(self, drift):
+        # A quick run's microsecond kernel fails its gate while a
+        # millisecond wave case drifts 1.7x and every other kernel
+        # ``drift``x, all within their 2x gates: the drill-down must name
+        # the failed kernel, not the larger delta or the broad drift.
+        import numpy as np
+
+        import repro.bench as bench
+        from repro.bench import analyze_bench_reports, merge_baselines
+
+        merged = merge_baselines(list(committed_baselines().values()))
+        quick = {(c["kernel"], c["dim"], c["size"])
+                 for c in bench._kernel_cases(True, np.random.default_rng(0))}
+        planted = ("obb_obb_pairs", 2, "256")
+        assert planted in quick
+        kernels = [dict(e, batch_s=e["batch_s"] * (2.2 if key == planted else drift))
+                   for e in merged["kernels"]
+                   for key in [(e["kernel"], e["dim"], e["size"])] if key in quick]
+        wave = [dict(e, wave_s=e["wave_s"] * (1.7 if e["case"] == "xarm7/24obs/v4"
+                                              else 1.0))
+                for e in merged["wave"]]
+        report = {"schema": 1, "mode": "quick", "kernels": kernels,
+                  "wave": wave, "edge": merged["edge"], "connect": merged["connect"]}
+        failures = compare_to_baseline(report, merged)
+        assert [m.split(": ")[0] for m in failures] == [
+            "obb_obb_pairs dim=2 size=256"]
+        top = analyze_bench_reports(merged, report).findings[0]
+        assert top.attributes.get("kernel") == "obb_obb_pairs"
+        assert top.attributes.get("dim") == "2"
+
     def test_no_gated_key_in_two_committed_files(self):
         # One committed entry per gated key: a refresh rewrites one file,
         # and no stale copy elsewhere can bind the gate instead.

@@ -12,23 +12,25 @@ from tests.obs.test_trace import FakeClock
 
 
 def synthetic_artifacts(tmp_path):
-    """One deterministic traced 'run': 2 sample + 1 collision phases."""
+    """One deterministic 'run': a trace of its plan/wave spans and the
+    metrics export holding its 2 sample + 1 collision phase calls."""
     clock = FakeClock()
     tracer = Tracer(enabled=True, clock=clock, pid=7, process_name="test")
-    for _ in range(2):
-        with tracer.span("sample"):
-            clock.tick(0.001)
-    with tracer.span("collision"):
-        clock.tick(0.003)
-    with tracer.span("plan"):  # not a phase: lands in other_spans
-        clock.tick(0.010)
+    with tracer.span("plan"):
+        with tracer.span("wave"):
+            clock.tick(0.004)
+        clock.tick(0.006)
     trace_path = tmp_path / "t.json"
     tracer.export_chrome(trace_path)
 
     reg = MetricsRegistry()
+    seconds = reg.counter("repro_phase_seconds_total")
+    calls = reg.counter("repro_phase_calls_total")
     macs = reg.counter("repro_phase_macs_total")
-    macs.inc(100, phase="sample")
-    macs.inc(900, phase="collision")
+    for phase, s, n, m in (("sample", 0.002, 2, 100), ("collision", 0.003, 1, 900)):
+        seconds.inc(s, phase=phase)
+        calls.inc(n, phase=phase)
+        macs.inc(m, phase=phase)
     reg.counter("repro_macs_total").inc(1000, category="collision_check")
     metrics_path = tmp_path / "m.prom"
     reg.export(metrics_path)
@@ -36,7 +38,7 @@ def synthetic_artifacts(tmp_path):
 
 
 class TestBuildReport:
-    def test_merges_trace_time_with_metric_macs(self, tmp_path):
+    def test_phase_table_from_metrics_span_totals_from_trace(self, tmp_path):
         trace, metrics = synthetic_artifacts(tmp_path)
         report = report_from_files(trace=str(trace), metrics=str(metrics))
         rows = {p["phase"]: p for p in report["phases"]}
@@ -46,8 +48,15 @@ class TestBuildReport:
         assert rows["sample"]["mean_us"] == pytest.approx(1000.0)
         assert rows["collision"]["time_pct"] == pytest.approx(60.0)
         assert rows["collision"]["mac_pct"] == pytest.approx(90.0)
-        assert report["other_spans"]["plan"]["calls"] == 1
+        assert report["spans"]["plan"] == {"calls": 1, "total_s": pytest.approx(0.010)}
+        assert report["spans"]["wave"]["calls"] == 1
         assert report["categories"] == {"collision_check": 1000.0}
+
+    def test_trace_alone_has_no_phase_table(self, tmp_path):
+        trace, _ = synthetic_artifacts(tmp_path)
+        report = report_from_files(trace=str(trace))
+        assert report["phases"] == []
+        assert "no per-phase data" in render_report(report)
 
     def test_metrics_alone_provide_phase_times(self, tmp_path):
         reg = MetricsRegistry()
@@ -81,8 +90,8 @@ class TestCli:
         assert "collision" in out and "MACs by category" in out
 
     def test_report_json_output(self, tmp_path, capsys):
-        trace, metrics = synthetic_artifacts(tmp_path)
-        assert obs_main(["report", "--trace", str(trace), "--json"]) == 0
+        _, metrics = synthetic_artifacts(tmp_path)
+        assert obs_main(["report", "--metrics", str(metrics), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert {p["phase"] for p in doc["phases"]} == {"sample", "collision"}
 

@@ -47,10 +47,11 @@ class TestInlineRoundTrip:
             (s["args"]["job_id"], s["args"]["request_id"]) for s in job_spans
         )
         assert tags == [(0, "job-000"), (1, "job-001")]
-        # Phase spans inherit the same tag (absorb merges into every span).
-        for name in ("sample", "collision"):
-            phase = [s for s in tracer.spans if s["name"] == name]
-            assert phase and all("job_id" in s["args"] for s in phase)
+        # The planner's plan spans inherit the same tag (absorb merges
+        # into every span); planner phases are not spans.
+        plan_spans = [s for s in tracer.spans if s["name"] == "plan"]
+        assert plan_spans and all("job_id" in s["args"] for s in plan_spans)
+        assert not any(s["name"] in obs.PHASES for s in tracer.spans)
 
     def test_metric_deltas_merge_into_ambient_registry(self, ambient):
         _, registry = ambient
@@ -110,6 +111,10 @@ class TestPooledRoundTrip:
         assert response.status == "ok"
         assert response.trace_spans == [] and response.metric_deltas == {}
         assert [s["name"] for s in tracer.spans if s["name"] == "job"] == []
+        # The phase split is not a trace payload: every executed response
+        # carries it.
+        assert {"sample", "nearest", "collision"} <= set(response.phase_seconds)
+        assert set(response.phase_seconds) <= set(obs.PHASES)
 
 
 class TestDisabledDefaults:

@@ -4,11 +4,9 @@ import json
 
 import pytest
 
-from repro import obs
 from repro.obs.trace import (
     _NULL_SPAN,
     Tracer,
-    aggregate_spans,
     get_tracer,
     set_tracer,
     traced,
@@ -185,68 +183,3 @@ class TestHelpers:
             assert span["args"] == {"kind": "unit"}
         finally:
             set_tracer(previous)
-
-    def test_aggregate_spans_orders_and_filters(self):
-        spans = [
-            {"name": "a", "dur": 0.1},
-            {"name": "b", "dur": 0.5},
-            {"name": "a", "dur": 0.2},
-        ]
-        agg = aggregate_spans(spans)
-        assert list(agg) == ["b", "a"]
-        assert agg["a"] == {"calls": 2, "total_s": pytest.approx(0.3)}
-        only_a = aggregate_spans(spans, names=("a", "missing"))
-        assert list(only_a) == ["a"]
-
-
-class TestPhaseRecorder:
-    def test_inactive_recorder_is_noop(self):
-        rec = obs.PhaseRecorder()
-        assert rec.active is False
-        first = rec.phase("sample")
-        assert rec.phase("collision") is first  # shared null object
-        with first:
-            pass
-
-    def test_records_spans_and_counters_when_enabled(self):
-        clock = FakeClock()
-        previous = obs.install(
-            Tracer(enabled=True, clock=clock), obs.MetricsRegistry(enabled=True)
-        )
-        try:
-            from repro.core.counters import OpCounter
-
-            counter = OpCounter()
-            rec = obs.PhaseRecorder()
-            with rec.phase("collision", counter):
-                clock.tick(0.25)
-                counter.record("sat_obb_obb", n=2)
-            (span,) = obs.get_tracer().spans
-            assert span["name"] == "collision"
-            assert span["dur"] == pytest.approx(0.25)
-            reg = obs.get_registry()
-            assert reg.get("repro_phase_seconds_total").value(
-                phase="collision"
-            ) == pytest.approx(0.25)
-            assert reg.get("repro_phase_calls_total").value(phase="collision") == 1
-            assert reg.get("repro_phase_macs_total").value(
-                phase="collision"
-            ) == pytest.approx(counter.total_macs())
-        finally:
-            obs.restore(previous)
-
-    def test_metrics_only_mode_still_times_phases(self):
-        clock = FakeClock()
-        previous = obs.install(
-            Tracer(enabled=False, clock=clock), obs.MetricsRegistry(enabled=True)
-        )
-        try:
-            rec = obs.PhaseRecorder()
-            with rec.phase("sample"):
-                clock.tick(0.125)
-            assert obs.get_tracer().spans == []
-            assert obs.get_registry().get("repro_phase_seconds_total").value(
-                phase="sample"
-            ) == pytest.approx(0.125)
-        finally:
-            obs.restore(previous)
