@@ -65,6 +65,7 @@ from repro.core.robots import RobotModel
 from repro.core.tree import ExpTree
 from repro.core.world import PlanningTask
 from repro.core.rrtstar import _SamplingPlanner
+from repro.geometry.motion import distance
 from repro.obs import PhaseRecorder, get_tracer
 
 #: Steering steps per greedy-connect chunk.  A blocked whole-segment
@@ -184,7 +185,8 @@ class RRTConnectPlanner(_SamplingPlanner):
         con_end: List[Optional[np.ndarray]] = [None] * width
         con_res: List[Optional[tuple]] = [None] * width
         with get_tracer().span("wave", width=width,
-                               nodes=len(trees[0]) + len(trees[1])):
+                               nodes=len(trees[0]) + len(trees[1])), \
+                obs.phase("speculate"):
             # One distance matrix per tree (both are needed: extensions hit
             # the alternating active tree, connects hit the other one).
             d_sq = []
@@ -195,7 +197,7 @@ class RRTConnectPlanner(_SamplingPlanner):
             for j in range(width):
                 active = (start + j) % 2
                 k = int(np.argmin(d_sq[active][j]))
-                dist = float(np.linalg.norm(points[active][k] - xs[j]))
+                dist = distance(points[active][k], xs[j])
                 if dist <= 1e-12:
                     continue
                 x_new = self._steer(points[active][k], xs[j], dist)
@@ -219,7 +221,7 @@ class RRTConnectPlanner(_SamplingPlanner):
                 d = points[other] - x_new[None, :]
                 k = int(np.argmin(np.einsum("nd,nd->n", d, d)))
                 near = points[other][k]
-                if float(np.linalg.norm(near - x_new)) <= 1e-9:
+                if distance(near, x_new) <= 1e-9:
                     continue
                 con_key[j] = k
                 con_end[j] = x_new
@@ -327,7 +329,7 @@ class RRTConnectPlanner(_SamplingPlanner):
         while True:
             if state.armed and state.budget_expired(run_counter, counter):
                 return last, False
-            remaining = float(np.linalg.norm(target - cur_point))
+            remaining = distance(target, cur_point)
             if remaining <= 1e-9:
                 return cur_key, True
             if injector is not None:
@@ -347,7 +349,7 @@ class RRTConnectPlanner(_SamplingPlanner):
             cur_key, cur_point = node, nxt
 
     def _add(self, side: int, x_new, parent_key, parent_point, counter) -> int:
-        edge = float(np.linalg.norm(x_new - parent_point))
+        edge = distance(x_new, parent_point)
         node_id = self.trees[side].add(x_new, parent_key, edge)
         self.strategies[side].insert(
             node_id, x_new, nearest_key=parent_key, counter=counter
@@ -364,7 +366,7 @@ class RRTConnectPlanner(_SamplingPlanner):
             forward = trees[0].path_to(bridge[0])
             backward = trees[1].path_to(bridge[1])
             if (backward and forward
-                    and float(np.linalg.norm(forward[-1] - backward[-1])) <= 1e-9):
+                    and distance(forward[-1], backward[-1]) <= 1e-9):
                 backward = backward[:-1]  # the bridge point appears once
             path = forward + backward[::-1]
             return PlanResult(

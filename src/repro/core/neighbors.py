@@ -22,6 +22,7 @@ from typing import Hashable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.geometry.motion import distance
 from repro.obs import bump
 from repro.spatial.brute import BruteForceIndex
 from repro.spatial.kdtree import KDTree
@@ -217,7 +218,7 @@ class SIMBRStrategy(NeighborStrategy):
         if counter is not None and siblings:
             counter.record("dist", dim=self._tree.dim, n=len(siblings))
         for key, point in siblings:
-            dist = float(np.linalg.norm(point - query))
+            dist = distance(point, query)
             if dist <= radius:
                 out.append((key, point, dist))
         out.sort(key=lambda item: item[2])

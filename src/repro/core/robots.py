@@ -31,6 +31,7 @@ from repro.geometry.rotations import (
     rotations_2d_batch,
     rotations_about_axes_batch,
     rotations_from_euler_batch,
+    unit_axis,
 )
 
 WORKSPACE_SIZE = 300.0  # Section V: 300x300(x300) workspace.
@@ -247,12 +248,13 @@ def _arm_batch_body_fn(
         if link.half_width is not None
     ]
     halves_matrix = np.stack(half_rows)
-    axes_matrix = np.stack([link.axis for link in links])
+    axes_matrix = np.stack([unit_axis(link.axis) for link in links])
+    identity = np.eye(3)
 
     def body(configs: np.ndarray) -> tuple:
         k = configs.shape[0]
-        rotation = np.broadcast_to(np.eye(3), (k, 3, 3))
-        position = np.broadcast_to(base, (k, 3))
+        # The base frame broadcasts against the first link's (k, ...) rows.
+        rotation, position = identity, base
         centers, rotations = [], []
         # One Rodrigues pass builds every joint step for every config; the
         # frame chain itself stays a serial product over links.

@@ -59,6 +59,7 @@ from repro.core.rng import LFSRSampler, NumpySampler
 from repro.core.robots import RobotModel
 from repro.core.tree import ExpTree
 from repro.core.world import PlanningTask
+from repro.geometry.motion import distance
 
 # Operation kinds executed on each hardware unit, used to split a round's
 # counter diff into per-unit loads for the pipeline timing model.
@@ -508,7 +509,8 @@ class RRTStarPlanner(_SamplingPlanner):
         spec_new: List[Optional[np.ndarray]] = [None] * width
         #: Per-sample whole-edge (verdict, events) for the commit replay.
         spec_results: List[Optional[tuple]] = [None] * width
-        with get_tracer().span("wave", width=width, nodes=n0):
+        with get_tracer().span("wave", width=width, nodes=n0), \
+                obs.phase("speculate"):
             diffs = points[None, :, :] - xs[:, None, :]
             d_sq = np.einsum("wnd,wnd->wn", diffs, diffs)
             seg_starts = []
@@ -538,7 +540,7 @@ class RRTStarPlanner(_SamplingPlanner):
                 bound = dist * dist * (1.0 + 1e-9)
                 for r, pkey in pending:
                     if r >= cut and d_sq[j, pkey] <= bound:
-                        pdist = float(np.linalg.norm(points[pkey] - xs[j]))
+                        pdist = distance(points[pkey], xs[j])
                         if pdist < dist:
                             k, dist = pkey, pdist
                             bound = dist * dist * (1.0 + 1e-9)
@@ -630,7 +632,7 @@ class RRTStarPlanner(_SamplingPlanner):
             pt = ref = None
             for col, apt, idx in accepts:
                 if col is None or row[col] <= bound:
-                    pdist = float(np.linalg.norm(apt - xs[j]))
+                    pdist = distance(apt, xs[j])
                     if pdist < dist:
                         dist, pt, ref = pdist, apt, n0 + idx
                         bound = dist * dist * margin
@@ -684,7 +686,7 @@ class RRTStarPlanner(_SamplingPlanner):
             for idx, (in_b, col, apt) in enumerate(accepts):
                 sq = row_b[col] if in_b else row_a[col]
                 if sq <= bound:
-                    pdist = float(np.linalg.norm(apt - xs[j]))
+                    pdist = distance(apt, xs[j])
                     if pdist < dist:
                         k, dist, pt = n0 + idx, pdist, apt
                         bound = dist * dist * margin
@@ -762,13 +764,13 @@ class RRTStarPlanner(_SamplingPlanner):
     def _after_accept(self, tree, node_id, x_new, iteration, state) -> None:
         """Goal bookkeeping for an accepted sample."""
         task = self.task
-        if float(np.linalg.norm(x_new - task.goal)) <= self.goal_tolerance:
+        if distance(x_new, task.goal) <= self.goal_tolerance:
             state.goal_nodes.append(node_id)
             if state.first_solution is None:
                 state.first_solution = iteration
         if state.goal_nodes:
             best = min(
-                tree.cost(n) + float(np.linalg.norm(tree.point(n) - task.goal))
+                tree.cost(n) + distance(tree.point(n), task.goal)
                 for n in state.goal_nodes
             )
             if best < state.best_known - 1e-9:
@@ -842,7 +844,7 @@ class RRTStarPlanner(_SamplingPlanner):
             if d_sq_row is not None and key < snapshot_len and d_sq_row[key] > bound:
                 continue
             point = tree.point(key)
-            dist = float(np.linalg.norm(point - x_rand))
+            dist = distance(point, x_rand)
             if dist < nearest_dist:
                 nearest_key, nearest_point, nearest_dist = key, point, dist
                 repaired = True
@@ -861,7 +863,7 @@ class RRTStarPlanner(_SamplingPlanner):
         """
         config, dim = self.config, self.robot.dof
         if not config.rewire:
-            edge = float(np.linalg.norm(x_new - nearest_point))
+            edge = distance(x_new, nearest_point)
             node_id = tree.add(x_new, nearest_key, edge)
             self.strategy.insert(node_id, x_new, nearest_key=nearest_key, counter=counter)
             return node_id
@@ -872,7 +874,7 @@ class RRTStarPlanner(_SamplingPlanner):
         )
         self._neighborhood_macs += counter.diff(before_neighborhood).total_macs()
         candidates = {key: (point, dist) for key, point, dist in neighborhood}
-        nearest_edge = float(np.linalg.norm(x_new - nearest_point))
+        nearest_edge = distance(x_new, nearest_point)
         candidates.setdefault(nearest_key, (nearest_point, nearest_edge))
 
         # Choose parent: lowest cost-to-come through a collision-free edge.
@@ -956,7 +958,7 @@ class RRTStarPlanner(_SamplingPlanner):
             best, best_cost, best_tail = None, float("inf"), 0.0
             fallback, fallback_cost = None, float("inf")
             for node in goal_nodes:
-                tail = float(np.linalg.norm(tree.point(node) - task.goal))
+                tail = distance(tree.point(node), task.goal)
                 cost = tree.cost(node) + tail
                 if cost < fallback_cost:
                     fallback, fallback_cost = node, cost
@@ -978,9 +980,7 @@ class RRTStarPlanner(_SamplingPlanner):
                 goal_node = fallback
                 path = tree.path_to(fallback)
                 path_cost = tree.cost(fallback)
-                goal_distance = float(
-                    np.linalg.norm(tree.point(fallback) - task.goal)
-                )
+                goal_distance = distance(tree.point(fallback), task.goal)
             return PlanResult(
                 success=True,
                 path=path,

@@ -21,6 +21,8 @@ from typing import Iterator, List, Optional, Set
 
 import numpy as np
 
+from repro.geometry.motion import distance
+
 _INITIAL_CAPACITY = 64
 
 
@@ -185,7 +187,7 @@ class ExpTree:
             parent = self.parent(node_id)
             assert parent is not None, f"non-root node {node_id} has no parent"
             assert node_id in self._children[parent], "parent/child mismatch"
-            edge = float(np.linalg.norm(self._coords[node_id] - self._coords[parent]))
+            edge = distance(self._coords[node_id], self._coords[parent])
             expected = self._cost[parent] + edge
             assert abs(self._cost[node_id] - expected) < 1e-6, (
                 f"cost inconsistency at node {node_id}: "

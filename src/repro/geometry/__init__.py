@@ -25,7 +25,7 @@ from repro.geometry.sat import (
     obb_intersects_obb,
 )
 from repro.geometry.mindist import mindist_point_to_rect, mindist_sq_point_to_rect
-from repro.geometry.motion import interpolate_configs, motion_steps
+from repro.geometry.motion import distance, interpolate_configs, motion_steps
 
 __all__ = [
     "AABB",
@@ -42,6 +42,7 @@ __all__ = [
     "obb_intersects_obb",
     "mindist_point_to_rect",
     "mindist_sq_point_to_rect",
+    "distance",
     "interpolate_configs",
     "motion_steps",
 ]

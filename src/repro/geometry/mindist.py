@@ -46,8 +46,11 @@ def mindist_sq_point_to_rects(point: np.ndarray, lo: np.ndarray, hi: np.ndarray)
         hi: stacked maximum corners, shape ``(n, dim)``.
 
     Returns:
-        Squared MINDIST per rectangle, shape ``(n,)``.
+        Squared MINDIST per rectangle, shape ``(n,)``; row ``i`` is bitwise
+        :func:`mindist_sq_point_to_rect` of rectangle ``i``, because
+        ``np.vecdot`` reduces each row exactly like the scalar ``gap @ gap``
+        (an ``einsum`` contraction does not).
     """
     point = np.asarray(point, dtype=float)
     gap = np.maximum(np.maximum(lo - point, point - hi), 0.0)
-    return np.einsum("nd,nd->n", gap, gap)
+    return np.vecdot(gap, gap)

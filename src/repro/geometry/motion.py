@@ -32,6 +32,17 @@ import numpy as np
 UNIT_FRACTION_CACHE_MAX_STEPS = 4096
 
 
+def distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean distance between two configurations (1-D float arrays).
+
+    ``math.sqrt`` of the difference's dot product with itself: the formula
+    ``np.linalg.norm`` evaluates for a 1-D float vector, so the result is
+    bitwise ``float(np.linalg.norm(a - b))``, without its argument handling.
+    """
+    d = a - b
+    return math.sqrt(float(d.dot(d)))
+
+
 def motion_steps(start: np.ndarray, end: np.ndarray, resolution: float) -> int:
     """Number of intermediate configurations for a movement check.
 
@@ -42,7 +53,7 @@ def motion_steps(start: np.ndarray, end: np.ndarray, resolution: float) -> int:
         raise ValueError("resolution must be positive")
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
-    dist = float(np.linalg.norm(end - start))
+    dist = distance(end, start)
     return max(1, int(math.ceil(dist / resolution)))
 
 

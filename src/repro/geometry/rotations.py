@@ -38,16 +38,21 @@ def rotation_from_euler(yaw: float, pitch: float = 0.0, roll: float = 0.0) -> np
     return rz @ ry @ rx
 
 
+def unit_axis(axis: np.ndarray) -> np.ndarray:
+    """``axis / norm``: the unit rotation axis the Rodrigues builders use."""
+    axis = np.asarray(axis, dtype=float)
+    norm = np.linalg.norm(axis)
+    if norm == 0.0:
+        raise ValueError("rotation axis must be non-zero")
+    return axis / norm
+
+
 def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     """Return the 3x3 rotation of ``angle`` radians about a unit ``axis``.
 
     Uses the Rodrigues formula; used by the serial-arm forward kinematics.
     """
-    axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if norm == 0.0:
-        raise ValueError("rotation axis must be non-zero")
-    x, y, z = axis / norm
+    x, y, z = unit_axis(axis)
     c, s = math.cos(angle), math.sin(angle)
     t = 1.0 - c
     return np.array(
@@ -103,11 +108,7 @@ def rotations_about_axis_batch(axis: np.ndarray, angles: np.ndarray) -> np.ndarr
     Uses the identical Rodrigues entries so each ``(3, 3)`` slice matches the
     scalar builder's values; used by the batch forward kinematics.
     """
-    axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if norm == 0.0:
-        raise ValueError("rotation axis must be non-zero")
-    x, y, z = axis / norm
+    x, y, z = unit_axis(axis)
     angles = np.asarray(angles, dtype=float)
     c, s = np.cos(angles), np.sin(angles)
     t = 1.0 - c
@@ -128,23 +129,18 @@ def rotations_about_axes_batch(axes: np.ndarray, angles: np.ndarray) -> np.ndarr
     """Vectorized Rodrigues over many axes at once.
 
     Args:
-        axes: ``(L, 3)`` rotation axes (need not be normalised).
+        axes: ``(L, 3)`` unit rotation axes, each normalised by the caller
+            with :func:`unit_axis` (done once, not per call).
         angles: ``(..., L)`` angles, one column per axis.
 
     Returns:
         ``(..., L, 3, 3)`` rotation matrices; slice ``[..., i, :, :]`` is
-        bit-identical to ``rotation_about_axis(axes[i], angles[..., i])``
-        because the entries use the same Rodrigues expressions (each axis is
-        normalised with the scalar builder's ``axis / norm``).
+        bit-identical to ``rotation_about_axis(axis_i, angles[..., i])``
+        for the raw axis ``axis_i`` that ``axes[i] = unit_axis(axis_i)``
+        normalises, because the entries use the same Rodrigues expressions.
     """
     axes = np.asarray(axes, dtype=float)
-    unit = np.empty_like(axes)
-    for i, axis in enumerate(axes):
-        norm = np.linalg.norm(axis)
-        if norm == 0.0:
-            raise ValueError("rotation axis must be non-zero")
-        unit[i] = axis / norm
-    x, y, z = unit[:, 0], unit[:, 1], unit[:, 2]
+    x, y, z = axes[:, 0], axes[:, 1], axes[:, 2]
     angles = np.asarray(angles, dtype=float)
     c, s = np.cos(angles), np.sin(angles)
     t = 1.0 - c

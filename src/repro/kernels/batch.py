@@ -18,6 +18,14 @@ Shapes follow two conventions:
 
 Internally every kernel broadcasts over arbitrary leading dimensions, so
 the grid functions are thin wrappers that insert axes.
+
+No kernel reduces over a short trailing axis (the 2-3 coordinates of a
+box, the 4 corners of a rectangle, the 3 or 9 SAT axes of a family):
+numpy runs such a reduction element by element, several times slower than
+the same work done a whole block at a time.  Each short axis is instead
+laid out *leading* in memory, so reducing it is a few elementwise ops over
+contiguous blocks.  Min, max and boolean OR do no rounding, so the order
+of a reduction never changes its result: these forms are exact.
 """
 
 from __future__ import annotations
@@ -42,18 +50,29 @@ __all__ = [
 ]
 
 
+def _any_last(flags: np.ndarray) -> np.ndarray:
+    """``flags.any(axis=-1)``: the short last axis is copied to the front,
+    then ORed block by block (see the module notes)."""
+    return np.logical_or.reduce(flags.T.copy(), axis=0).T
+
+
 # --------------------------------------------------------------------- AABBs
 
 
 def aabb_aabb_grid(a_lo: np.ndarray, a_hi: np.ndarray,
                    b_lo: np.ndarray, b_hi: np.ndarray) -> np.ndarray:
-    """Interval-overlap SAT of ``R`` boxes against ``M`` boxes: ``(R, M)``."""
-    a_lo, a_hi = np.asarray(a_lo, dtype=float), np.asarray(a_hi, dtype=float)
-    b_lo, b_hi = np.asarray(b_lo, dtype=float), np.asarray(b_hi, dtype=float)
-    separated = (a_lo[:, None, :] > b_hi[None, :, :]) | (
-        b_lo[None, :, :] > a_hi[:, None, :]
-    )
-    return ~separated.any(axis=-1)
+    """Interval-overlap SAT of ``R`` boxes against ``M`` boxes: ``(R, M)``.
+
+    The comparisons fill one ``(dim, R, M)`` plane per dimension, ORed
+    across the leading dimension axis.
+    """
+    a_lo = np.asarray(a_lo, dtype=float).T[:, :, None]
+    a_hi = np.asarray(a_hi, dtype=float).T[:, :, None]
+    b_lo = np.asarray(b_lo, dtype=float).T[:, None, :]
+    b_hi = np.asarray(b_hi, dtype=float).T[:, None, :]
+    separated = np.greater(a_lo, b_hi, order="C")
+    separated |= np.greater(b_lo, a_hi, order="C")
+    return ~np.logical_or.reduce(separated, axis=0)
 
 
 # ----------------------------------------------------------------- OBB / OBB
@@ -80,18 +99,18 @@ def _sat_obb_obb_3d(a_c, a_h, a_r, b_c, b_h, b_r) -> np.ndarray:
 
     # Axes L = A0, A1, A2 (a's face normals).
     rb_face = np.einsum("...ij,...j->...i", abs_rot, b_h)
-    sep = (np.abs(t) > a_h + rb_face).any(axis=-1)
+    sep = _any_last(np.abs(t) > a_h + rb_face)
 
     # Axes L = B0, B1, B2 (b's face normals).
     ra_face = np.einsum("...ij,...i->...j", abs_rot, a_h)
     t_proj = np.einsum("...ij,...i->...j", rot, t)
-    sep |= (np.abs(t_proj) > ra_face + b_h).any(axis=-1)
+    sep |= _any_last(np.abs(t_proj) > ra_face + b_h)
 
     # Axes L = Ai x Bj: gather the scalar loop's index pattern in one shot.
     ra3 = a_h[..., _I1] * abs_rot[..., _I2, _J] + a_h[..., _I2] * abs_rot[..., _I1, _J]
     rb3 = b_h[..., _J1] * abs_rot[..., _I, _J2] + b_h[..., _J2] * abs_rot[..., _I, _J1]
     dist3 = np.abs(t[..., _I2] * rot[..., _I1, _J] - t[..., _I1] * rot[..., _I2, _J])
-    sep |= (dist3 > ra3 + rb3).any(axis=-1)
+    sep |= _any_last(dist3 > ra3 + rb3)
     return ~sep
 
 
@@ -100,39 +119,45 @@ _CORNER_SIGNS_2D = np.array(
     [[1.0 if (c >> d) & 1 else -1.0 for d in range(2)] for c in range(4)]
 )
 
+# 2D corner sets and their projections are laid out corner-first,
+# ``(4,) + L + (2,)``, so the min/max over the 4 corners reduces whole
+# contiguous blocks.
+
+
+def _corner_offsets_2d(h) -> np.ndarray:
+    """``signs * half`` per corner of half extents ``L + (2,)``:
+    ``(4,) + L + (2,)``."""
+    signs = _CORNER_SIGNS_2D.reshape((4,) + (1,) * (h.ndim - 1) + (2,))
+    return signs * h
+
 
 def _corners_2d(c, h, r) -> np.ndarray:
-    """World corners of 2D OBBs over leading dims: ``L + (4, 2)``.
+    """World corners of 2D OBBs over leading dims: ``(4,) + L + (2,)``.
 
     Same sign ordering and arithmetic as :meth:`repro.geometry.obb.OBB.
     corners` (``center + R @ (signs * half)``); the matrix product is
     written out as its two-term sum, which matches the einsum accumulation
     bit-for-bit while avoiding its strided-iteration dispatch cost.
     """
-    local = _CORNER_SIGNS_2D * h[..., None, :]
-    rotated = (
-        r[..., None, :, 0] * local[..., :, 0, None]
-        + r[..., None, :, 1] * local[..., :, 1, None]
-    )
-    return c[..., None, :] + rotated
+    local = _corner_offsets_2d(h)
+    rotated = r[..., :, 0] * local[..., 0, None] + r[..., :, 1] * local[..., 1, None]
+    return c + rotated
 
 
 def _proj_2d(corners, axes) -> np.ndarray:
-    """Project corner sets on frame axes: ``proj[..., c, k] = corners[...,
-    c, :] @ (column k of axes)`` as an explicit two-term sum (bit-identical
+    """Project corner sets on frame axes: ``proj[c, ..., k] = corners[c,
+    ..., :] @ (column k of axes)`` as an explicit two-term sum (bit-identical
     to the einsum contraction, several times faster on broadcast operands).
     """
-    return (
-        corners[..., :, 0, None] * axes[..., None, 0, :]
-        + corners[..., :, 1, None] * axes[..., None, 1, :]
-    )
+    return corners[..., 0, None] * axes[..., 0, :] + corners[..., 1, None] * axes[..., 1, :]
 
 
 def _interval_sep_2d(proj_a, proj_b) -> np.ndarray:
     """Per-axis interval-overlap separation over corner projections."""
-    a_min, a_max = proj_a.min(axis=-2), proj_a.max(axis=-2)
-    b_min, b_max = proj_b.min(axis=-2), proj_b.max(axis=-2)
-    return ((a_max < b_min - _EPS) | (b_max < a_min - _EPS)).any(axis=-1)
+    a_min, a_max = np.minimum.reduce(proj_a), np.maximum.reduce(proj_a)
+    b_min, b_max = np.minimum.reduce(proj_b), np.maximum.reduce(proj_b)
+    sep = (a_max < b_min - _EPS) | (b_max < a_min - _EPS)
+    return sep[..., 0] | sep[..., 1]
 
 
 def _sat_obb_obb_2d(a_c, a_h, a_r, b_c, b_h, b_r) -> np.ndarray:
@@ -142,7 +167,7 @@ def _sat_obb_obb_2d(a_c, a_h, a_r, b_c, b_h, b_r) -> np.ndarray:
     each box's two frame axes (the rows of ``R.T``, i.e. the columns of
     ``R``) and test interval overlap with the ``_EPS`` slack.
     """
-    corners_a = _corners_2d(a_c, a_h, a_r)     # L + (4, 2)
+    corners_a = _corners_2d(a_c, a_h, a_r)     # (4,) + L + (2,)
     corners_b = _corners_2d(b_c, b_h, b_r)
     sep = None
     for axes in (a_r, b_r):
@@ -161,7 +186,7 @@ def _sat_aabb_obb_2d(a_c, a_h, b_c, b_h, b_r) -> np.ndarray:
     and the AABB's own corners are ``center + signs * half`` verbatim.
     Skipping those no-op contractions halves the kernel's heavy work.
     """
-    corners_a = a_c[..., None, :] + _CORNER_SIGNS_2D * a_h[..., None, :]
+    corners_a = a_c + _corner_offsets_2d(a_h)
     corners_b = _corners_2d(b_c, b_h, b_r)
     # Axes of a: the world axes — projections are the corner coordinates.
     sep = _interval_sep_2d(corners_a, corners_b)
@@ -215,18 +240,18 @@ def _sat_aabb_obb_3d(a_c, a_h, b_c, b_h, b_r) -> np.ndarray:
 
     # Axes L = A0, A1, A2 (the world axes).
     rb_face = np.einsum("...ij,...j->...i", abs_rot, b_h)
-    sep = (np.abs(t) > a_h + rb_face).any(axis=-1)
+    sep = _any_last(np.abs(t) > a_h + rb_face)
 
     # Axes L = B0, B1, B2 (the OBB's face normals).
     ra_face = np.einsum("...ij,...i->...j", abs_rot, a_h)
     t_proj = np.einsum("...ij,...i->...j", b_r, t)
-    sep |= (np.abs(t_proj) > ra_face + b_h).any(axis=-1)
+    sep |= _any_last(np.abs(t_proj) > ra_face + b_h)
 
     # Axes L = Ai x Bj.
     ra3 = a_h[..., _I1] * abs_rot[..., _I2, _J] + a_h[..., _I2] * abs_rot[..., _I1, _J]
     rb3 = b_h[..., _J1] * abs_rot[..., _I, _J2] + b_h[..., _J2] * abs_rot[..., _I, _J1]
     dist3 = np.abs(t[..., _I2] * b_r[..., _I1, _J] - t[..., _I1] * b_r[..., _I2, _J])
-    sep |= (dist3 > ra3 + rb3).any(axis=-1)
+    sep |= _any_last(dist3 > ra3 + rb3)
     return ~sep
 
 

@@ -69,7 +69,7 @@ from repro.obs.trace import (
 
 #: Canonical planner phases, in loop order — the rows of the Fig-3-style
 #: per-phase breakdown ``repro.obs report`` renders.
-PHASES = ("sample", "nearest", "repair", "steer", "collision", "rewire")
+PHASES = ("sample", "speculate", "nearest", "repair", "steer", "collision", "rewire")
 
 
 def configure(trace: Optional[bool] = None, metrics: Optional[bool] = None) -> None:

@@ -46,7 +46,31 @@ class TestVectorised:
         batched = mindist_sq_point_to_rects(point, lo, hi)
         for i in range(20):
             scalar = mindist_sq_point_to_rect(point, AABB(lo[i], hi[i]))
-            assert batched[i] == pytest.approx(scalar)
+            assert batched[i] == scalar  # bitwise: the SI-MBR search relies on it
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rows_equal_scalar_bitwise(self, data):
+        """Every stacked row is the scalar MINDIST bitwise, over dims 1-13,
+        for points inside one of the rectangles (zero gaps) or anywhere."""
+        dim = data.draw(st.integers(min_value=1, max_value=13), label="dim")
+        n = data.draw(st.integers(min_value=1, max_value=12), label="rects")
+
+        def floats(count, lo, hi):
+            values = st.lists(st.floats(lo, hi), min_size=count, max_size=count)
+            return np.array(data.draw(values))
+
+        lo = floats(n * dim, -50, 50).reshape(n, dim)
+        hi = lo + floats(n * dim, 0, 20).reshape(n, dim)
+        inside = data.draw(st.integers(min_value=0, max_value=n - 1), label="inside")
+        point = floats(dim, -60, 60)
+        if data.draw(st.booleans(), label="point inside a rect"):
+            point = (lo[inside] + hi[inside]) / 2.0
+        batched = mindist_sq_point_to_rects(point, lo, hi)
+        for i in range(n):
+            assert batched[i] == mindist_sq_point_to_rect(point, AABB(lo[i], hi[i]))
+        if np.all(point >= lo[inside]) and np.all(point <= hi[inside]):
+            assert batched[inside] == 0.0
 
 
 @st.composite

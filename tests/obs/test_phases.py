@@ -54,6 +54,17 @@ def _calls_and_macs(result):
             for name, entry in result.phases.items()}
 
 
+def _speculated_waves(result):
+    """Waves of more than one sample, read off the per-round records (a
+    wave's rounds are consecutive and each carries the wave's width)."""
+    waves, i = 0, 0
+    while i < len(result.rounds):
+        width = result.rounds[i].wave_width
+        waves += width > 1
+        i += width
+    return waves
+
+
 class TestRecorder:
     def test_accumulates_seconds_calls_and_mac_deltas(self):
         rec = obs.PhaseRecorder()
@@ -101,6 +112,14 @@ class TestPlannerRuns:
         phase_macs = sum(entry["macs"] for entry in result.phases.values())
         assert 0 < phase_macs <= result.counter.total_macs()
 
+    def test_speculate_times_each_multi_sample_wave(self, task, mode, width):
+        result, _ = _plan(task, mode, width)
+        if width == 1:
+            assert "speculate" not in result.phases
+            return
+        assert result.phases["speculate"]["calls"] == _speculated_waves(result)
+        assert result.phases["speculate"]["macs"] == 0.0
+
     def test_metrics_are_written_from_the_result(self, task, mode, width):
         previous = obs.install(obs.Tracer(enabled=False),
                                obs.MetricsRegistry(enabled=True))
@@ -130,3 +149,11 @@ def test_untraced_service_batch_has_phase_axes(workers):
     phases = summary["latency_s"]["phases"]
     assert {"sample", "nearest", "collision"} <= set(phases)
     assert phases["collision"]["max"] > 0
+
+
+def test_a_one_sample_tail_wave_is_not_speculated(task):
+    # 57 samples at W=8: seven waves of 8, then one of a single sample.
+    config = moped_config("v4", max_samples=57, seed=3, wave_width=8)
+    result = make_planner(get_robot(task.robot_name), task, config).plan()
+    assert [r.wave_width for r in result.rounds[-2:]] == [8, 1]
+    assert result.phases["speculate"]["calls"] == 7 == _speculated_waves(result)

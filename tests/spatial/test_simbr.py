@@ -1,10 +1,14 @@
 """Unit and property tests for the SI-MBR-Tree."""
 
+import heapq
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.counters import OpCounter
 from repro.spatial import SIMBRTree
 
 
@@ -279,3 +283,190 @@ def test_simbr_nearest_is_exact(n, seed, dim, steering):
     want = brute_nearest(points, q)
     assert got[2] == pytest.approx(want[2])
 
+
+
+# ------------------------------------------------------------------------
+# Scalar reference walks: the searches as one numpy call per child MBR and
+# per leaf entry, over the same nodes.  The tree's stacked searches must
+# match them bitwise: keys, point objects, distances, counter records and
+# the node access trace.
+
+
+def _ref_mindist_sq(query, lo, hi):
+    gap = np.maximum(np.maximum(lo - query, query - hi), 0.0)
+    return float(gap @ gap)
+
+
+def ref_nearest(tree, query, counter, hook, exclude=None):
+    exclude = exclude or frozenset()
+    best_key, best_point, best_sq = None, None, float("inf")
+    tiebreak = itertools.count()
+    heap = [(0.0, next(tiebreak), tree._root, 0)]
+    while heap:
+        bound_sq, _, node, depth = heapq.heappop(heap)
+        if bound_sq >= best_sq:
+            break
+        hook(node.uid, depth)
+        if node.is_leaf:
+            visited = sum(key not in exclude for key, _ in node.entries)
+            if visited:
+                counter.record("dist", dim=tree.dim, n=visited)
+            for key, point in node.entries:
+                if key in exclude:
+                    continue
+                d_sq = float(np.sum((point - query) ** 2))
+                if d_sq < best_sq:
+                    best_key, best_point, best_sq = key, point, d_sq
+        else:
+            counter.record("mindist", dim=tree.dim, n=len(node.children))
+            for child in node.children:
+                bound = _ref_mindist_sq(query, child.lo, child.hi)
+                if bound < best_sq:
+                    heapq.heappush(heap, (bound, next(tiebreak), child, depth + 1))
+    if best_key is None:
+        return None
+    return best_key, best_point, float(np.sqrt(best_sq))
+
+
+def ref_neighbors_within(tree, query, radius, counter, hook):
+    radius_sq = radius * radius
+    out = []
+    stack = [(tree._root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        hook(node.uid, depth)
+        if node.is_leaf:
+            counter.record("dist", dim=tree.dim, n=len(node.entries))
+            for key, point in node.entries:
+                d_sq = float(np.sum((point - query) ** 2))
+                if d_sq <= radius_sq:
+                    out.append((key, point, float(np.sqrt(d_sq))))
+        else:
+            counter.record("mindist", dim=tree.dim, n=len(node.children))
+            for child in node.children:
+                if _ref_mindist_sq(query, child.lo, child.hi) <= radius_sq:
+                    stack.append((child, depth + 1))
+    out.sort(key=lambda item: item[2])
+    return out
+
+
+def ref_leaf_siblings(tree, key, query, radius, counter):
+    counter.record("buffer_read", dim=tree.dim)
+    leaf = tree._leaf_of[key]
+    if leaf.parent is None:
+        return list(leaf.entries)
+    out = []
+    for sibling in leaf.parent.children:
+        if not sibling.is_leaf:
+            continue
+        if sibling is not leaf:
+            counter.record("mindist", dim=tree.dim)
+            if _ref_mindist_sq(query, sibling.lo, sibling.hi) > radius * radius:
+                continue
+        out.extend(sibling.entries)
+    return out
+
+
+def _same_results(got, want):
+    """Same keys, the very same point objects, bitwise-equal distances."""
+    assert [r[0] for r in got] == [r[0] for r in want]
+    assert all(g[1] is w[1] for g, w in zip(got, want))
+    assert [r[2:] for r in got] == [r[2:] for r in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=90),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=9),
+    # Capacity 2 is left out: its splits leave internal nodes with a single
+    # child, which validate() rejects.
+    st.integers(min_value=3, max_value=8),
+    st.booleans(),
+)
+def test_stacked_searches_match_the_scalar_walk(n, seed, dim, capacity, steering):
+    """nearest / neighbors_within / leaf_siblings over stacked node rows are
+    bitwise the per-row reference, with the same counts and access trace."""
+    rng = np.random.default_rng(seed)
+    tree = SIMBRTree(dim=dim, capacity=capacity)
+    points = {}
+    for i in range(n):
+        if steering and i > 0:
+            parent = int(rng.integers(0, i))
+            p = points[parent] + rng.normal(scale=1.0, size=dim)
+            tree.insert(i, p, sibling_of=parent)
+        else:
+            p = rng.uniform(-10, 10, dim)
+            tree.insert(i, p)
+        points[i] = p
+    tree.validate()
+
+    def run(search):
+        """``search(counter, hook)``'s result, counts and access trace; the
+        tree reports its accesses through ``access_hook``, the reference
+        walk through ``hook``."""
+        trace, counter = [], OpCounter()
+
+        def hook(uid, depth):
+            trace.append((uid, depth))
+
+        tree.access_hook = hook
+        try:
+            return search(counter, hook), counter.to_dict(), trace
+        finally:
+            tree.access_hook = None
+
+    for _ in range(4):
+        # Queries near stored points (ties and zero distances) and far off.
+        q = points[int(rng.integers(0, n))] + rng.normal(scale=0.5, size=dim)
+        if rng.random() < 0.2:
+            q = points[int(rng.integers(0, n))].copy()
+        exclude = (set(rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist())
+                   if rng.random() < 0.5 else None)
+        radius = float(rng.uniform(0.0, 6.0))
+
+        got, got_counts, got_trace = run(
+            lambda c, hook: tree.nearest(q, counter=c, exclude=exclude))
+        want, want_counts, want_trace = run(
+            lambda c, hook: ref_nearest(tree, q, c, hook, exclude))
+        if want is None:
+            assert got is None
+        else:
+            _same_results([got], [want])
+        assert got_counts == want_counts and got_trace == want_trace
+
+        got, got_counts, got_trace = run(
+            lambda c, hook: tree.neighbors_within(q, radius, counter=c))
+        want, want_counts, want_trace = run(
+            lambda c, hook: ref_neighbors_within(tree, q, radius, c, hook))
+        _same_results(got, want)
+        assert got_counts == want_counts and got_trace == want_trace
+
+        key = int(rng.integers(0, n))
+        counter = OpCounter()
+        got = tree.leaf_siblings(key, counter=counter, scope="parent",
+                                 query=q, radius=radius)
+        ref_counter = OpCounter()
+        want = ref_leaf_siblings(tree, key, q, radius, ref_counter)
+        assert [k for k, _ in got] == [k for k, _ in want]
+        assert all(g[1] is w[1] for g, w in zip(got, want))
+        assert counter.to_dict() == ref_counter.to_dict()
+
+
+def test_validate_checks_the_stacked_rows():
+    tree = SIMBRTree(dim=3, capacity=4)
+    rng = np.random.default_rng(12)
+    for i in range(60):
+        tree.insert(i, rng.uniform(0, 10, 3))
+    tree.validate()  # rows kept current through the splits above
+    internal = tree._root
+    internal.child_lo = internal.child_lo.copy()
+    internal.child_lo[0, 0] -= 1.0
+    with pytest.raises(AssertionError, match="child corner rows"):
+        tree.validate()
+    internal.child_lo[0, 0] += 1.0
+    tree.validate()
+    leaf = tree._leaf_of[0]
+    leaf.points = leaf.points[::-1].copy()
+    with pytest.raises(AssertionError, match="leaf point rows"):
+        tree.validate()
