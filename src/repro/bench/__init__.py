@@ -399,13 +399,17 @@ def bench_wave(quick: bool = False, seed: int = 3) -> List[Dict]:
 # ------------------------------------------------------------------- edge
 
 
-#: Whole-edge suite points: (label, robot, obstacles, checker).  Arm robots
-#: only: the brute-OBB cases, where the stacked edge kernels with the
-#: conservative AABB broadphase amortize best, and the two-stage funnel.
+#: Whole-edge suite points: (label, robot, obstacles, checker, edges per
+#: call).  The arm cases validate waves of ``WAVE_WIDTH`` edges: the
+#: brute-OBB cases, where the stacked edge kernels with the conservative
+#: AABB broadphase amortize best, and the two-stage funnel.  The mobile2d
+#: case is the light serving class's unit of work: one edge per call
+#: against a one-node R-tree, where the fixed cost of a call dominates.
 EDGE_SUITE = (
-    ("rozum/24obs/obb", "rozum", 24, "obb"),
-    ("xarm7/24obs/obb", "xarm7", 24, "obb"),
-    ("xarm7/24obs/two_stage", "xarm7", 24, "two_stage"),
+    ("rozum/24obs/obb", "rozum", 24, "obb", WAVE_WIDTH),
+    ("xarm7/24obs/obb", "xarm7", 24, "obb", WAVE_WIDTH),
+    ("xarm7/24obs/two_stage", "xarm7", 24, "two_stage", WAVE_WIDTH),
+    ("mobile2d/8obs/two_stage", "mobile2d", 8, "two_stage", 1),
 )
 
 #: Movements per measured pass.  Fixed (independent of ``--quick``) so
@@ -435,22 +439,22 @@ def bench_edge(quick: bool = False, seed: int = 11) -> List[Dict]:
     For every suite case :meth:`~repro.core.collision.CollisionChecker.
     motion_results_batch` — the stacked whole-edge kernels behind one FK
     batch and the conservative AABB broadphase — validates the same
-    ``EDGE_COUNT`` random movements in waves of ``WAVE_WIDTH``.  The
+    ``EDGE_COUNT`` random movements in calls of the case's width.  The
     reference backend's per-configuration walk (the golden semantics,
     never timed) must agree on every verdict and every captured
     :class:`~repro.core.counters.OpCounter` before any time is reported.
     """
     reps = 3 if quick else 7
     records: List[Dict] = []
-    for label, robot_name, num_obstacles, checker_name in EDGE_SUITE:
+    for label, robot_name, num_obstacles, checker_name, width in EDGE_SUITE:
         robot = get_robot(robot_name)
         env = random_task(robot_name, num_obstacles, seed=seed).environment
         resolution = robot.step_size / 4.0  # the planner's derivation rule
         rng = np.random.default_rng(seed)
         starts, ends = _edge_batch(robot, rng, EDGE_COUNT)
         waves = [
-            (starts[i:i + WAVE_WIDTH], ends[i:i + WAVE_WIDTH])
-            for i in range(0, EDGE_COUNT, WAVE_WIDTH)
+            (starts[i:i + width], ends[i:i + width])
+            for i in range(0, EDGE_COUNT, width)
         ]
         checker = make_checker(checker_name, robot, env, resolution)
         golden = make_checker(
@@ -479,7 +483,7 @@ def bench_edge(quick: bool = False, seed: int = 11) -> List[Dict]:
                 "robot": robot_name,
                 "obstacles": num_obstacles,
                 "checker": checker_name,
-                "wave_width": WAVE_WIDTH,
+                "wave_width": width,
                 "edges": EDGE_COUNT,
                 "edge_s": edge_s,
                 "edge_us_per_edge": edge_s / EDGE_COUNT * 1e6,

@@ -82,8 +82,8 @@ from repro.geometry.sat import aabb_intersects_obb, obb_intersects_obb
 #: rewire-radius edges in the tens, workspace-scale probes beyond.
 LADDER_STEP_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
 
-#: Block offsets of a single-configuration query.
-_ONE_BLOCK = np.array([0, 1], dtype=np.intp)
+#: Block bounds of a single-configuration query.
+_ONE_BLOCK = [0, 1]
 
 
 class CollisionChecker:
@@ -121,6 +121,12 @@ class CollisionChecker:
         self.environment = environment
         self.motion_resolution = motion_resolution
         self.kernels = kernels
+        # True when block walks run through the stacked kernels.
+        self._batch_walk = bool(
+            kernels == "batch"
+            and self._has_batch_kernels
+            and environment.num_obstacles
+        )
         # ``edge.validate`` fault hook: bound once (checkers are built per
         # plan, after any injector install) and refreshed by the planner at
         # plan() time; None in the steady state, one is-None check per edge.
@@ -144,7 +150,7 @@ class CollisionChecker:
         that configuration records.
         """
         configs = np.asarray(configs, dtype=float)
-        return self._block_results(configs, np.arange(len(configs) + 1))
+        return self._block_results(configs, list(range(len(configs) + 1)))
 
     def motion_in_collision(self, start: np.ndarray, end: np.ndarray, counter=None) -> bool:
         """True when the movement from ``start`` to ``end`` hits an obstacle.
@@ -187,27 +193,18 @@ class CollisionChecker:
         if injector is not None:
             for _ in range(count):
                 injector.fire("edge.validate")
-        configs, offsets = interpolate_edges(starts, ends, self.motion_resolution)
-        bounds = offsets.tolist()
+        configs, bounds = interpolate_edges(starts, ends, self.motion_resolution)
         for lo, hi in zip(bounds, bounds[1:]):
             observe("repro_cc_edge_ladder_steps", hi - lo - 1,
                     help="Interpolation ladder length per validated edge",
                     buckets=LADDER_STEP_BUCKETS)
         bump("repro_cc_edge_validations_total", count,
-             path="edge_kernel" if self._edge_batchable() else "scalar",
+             path="edge_kernel" if self._batch_walk else "scalar",
              help="Edge validations by execution path")
-        return self._block_results(configs, offsets)
+        return self._block_results(configs, bounds)
 
-    def _edge_batchable(self) -> bool:
-        """True when block walks run through the stacked kernels."""
-        return bool(
-            self.kernels == "batch"
-            and self._has_batch_kernels
-            and self.environment.num_obstacles
-        )
-
-    def _block_results(self, configs: np.ndarray, offsets) -> List[tuple]:
-        """``(verdict, events)`` per block ``configs[offsets[b]:offsets[b + 1]]``.
+    def _block_results(self, configs: np.ndarray, bounds: List[int]) -> List[tuple]:
+        """``(verdict, events)`` per block ``configs[bounds[b]:bounds[b + 1]]``.
 
         Each block is walked in row order and stops at its first colliding
         row.  On the batch backend one FK batch and one stacked kernel pass
@@ -215,10 +212,9 @@ class CollisionChecker:
         environment) ``_config_scalar`` walks each block into a fresh
         counter.
         """
-        if self._edge_batchable():
+        if self._batch_walk:
             bodies = BodyBatch.from_frames(*self.robot.body_frames_batch(configs))
-            return self._batch_motion_results(bodies, offsets)
-        bounds = np.asarray(offsets).tolist()
+            return self._batch_motion_results(bodies, bounds)
         pairs = []
         for lo, hi in zip(bounds, bounds[1:]):
             captured = OpCounter()
@@ -234,30 +230,35 @@ class CollisionChecker:
         """Scalar single-configuration check (the reference code path)."""
         raise NotImplementedError
 
-    def _batch_motion_results(self, bodies: BodyBatch, offsets: np.ndarray):
+    def _batch_motion_results(self, bodies: BodyBatch, bounds: List[int]):
         """Per-block ``(verdict, events)`` over stacked body rows.
 
-        ``offsets`` bounds each block's configuration rows (body rows are
+        ``bounds`` bounds each block's configuration rows (body rows are
         ``bodies_per_config`` times that).  Implemented per checker from
         the :mod:`repro.kernels.batch` edge entry points.
         """
         raise NotImplementedError
 
     @staticmethod
-    def _edge_replay(hits, visited, kind: str, dim: int) -> List[tuple]:
-        """Per-block replay of segment early-exit statistics.
+    def _edge_replay(mask, bounds: List[int], bodies_per_config: int,
+                     kind: str, dim: int) -> List[tuple]:
+        """Per-block replay of a brute checker's ``(rows, obstacles)`` mask.
 
-        ``visited[e]`` SAT tests of ``kind`` are what the scalar loop
-        records for block ``e`` before its early exit; one aggregated record
-        per block reproduces those totals exactly (integer cost weights).
+        The scalar loop walks (configuration, body, obstacle) in row-major
+        order and stops at its first hit, so block ``b``'s SAT tests of
+        ``kind`` are :func:`~repro.kernels.batch.segment_first_hit`'s
+        visited count over its flat segment of ``mask``; one aggregated
+        record per block reproduces those totals exactly (integer cost
+        weights).
         """
-        pairs = []
-        for hit, n in zip(hits.tolist(), visited.tolist()):
-            captured = OpCounter()
-            if n:
-                captured.record(kind, dim=dim, n=int(n))
-            pairs.append((bool(hit), captured))
-        return pairs
+        scale = bodies_per_config * mask.shape[1]
+        hits, visited = kernels_batch.segment_first_hit(
+            mask, [b * scale for b in bounds]
+        )
+        return [
+            (hit, OpCounter.of(dim, **{kind: n}))
+            for hit, n in zip(hits.tolist(), visited.tolist())
+        ]
 
 
 class BruteOBBChecker(CollisionChecker):
@@ -275,17 +276,18 @@ class BruteOBBChecker(CollisionChecker):
                     return True
         return False
 
-    def _batch_motion_results(self, bodies: BodyBatch, offsets: np.ndarray):
+    def _batch_motion_results(self, bodies: BodyBatch, bounds: List[int]):
+        # The AABB interval grid prunes first: an enclosing-AABB miss proves
+        # OBB separation, so the exact SAT runs only on surviving pairs.
         obs = self.environment.obstacle_tensors
-        bpc = bodies.rows // int(offsets[-1])
-        lo, hi = bodies.aabb_corners()
-        hits, visited = kernels_batch.edge_obb_obb_grid(
-            bodies.centers, bodies.half_extents, bodies.rotations, lo, hi,
-            obs.centers, obs.half_extents, obs.rotations,
-            obs.aabb_lo, obs.aabb_hi,
-            np.asarray(offsets, dtype=np.intp) * bpc,
+        _, mask = kernels_batch.overlap_filtered(
+            *bodies.aabb_corners(), obs.aabb_lo_t, obs.aabb_hi_t,
+            lambda rows, cols: kernels_batch.obb_obb_gathered(
+                bodies.terms(), rows, obs.terms, cols),
         )
-        return self._edge_replay(hits, visited, "sat_obb_obb", obs.dim)
+        return self._edge_replay(
+            mask, bounds, bodies.bodies_per_config, "sat_obb_obb", obs.dim
+        )
 
 
 class BruteAABBChecker(CollisionChecker):
@@ -307,16 +309,18 @@ class BruteAABBChecker(CollisionChecker):
                     return True
         return False
 
-    def _batch_motion_results(self, bodies: BodyBatch, offsets: np.ndarray):
+    def _batch_motion_results(self, bodies: BodyBatch, bounds: List[int]):
+        # Same broadphase as the brute OBB checker: a body whose AABB misses
+        # the obstacle box cannot intersect it.
         obs = self.environment.obstacle_tensors
-        bpc = bodies.rows // int(offsets[-1])
-        lo, hi = bodies.aabb_corners()
-        hits, visited = kernels_batch.edge_aabb_obb_grid(
-            obs.aabb_lo, obs.aabb_hi,
-            bodies.centers, bodies.half_extents, bodies.rotations, lo, hi,
-            np.asarray(offsets, dtype=np.intp) * bpc,
+        _, mask = kernels_batch.overlap_filtered(
+            *bodies.aabb_corners(), obs.aabb_lo_t, obs.aabb_hi_t,
+            lambda rows, cols: kernels_batch.aabb_obb_gathered(
+                obs.aabb_terms, cols, bodies.terms(), rows),
         )
-        return self._edge_replay(hits, visited, "sat_aabb_obb", obs.dim)
+        return self._edge_replay(
+            mask, bounds, bodies.bodies_per_config, "sat_aabb_obb", obs.dim
+        )
 
 
 class TwoStageChecker(CollisionChecker):
@@ -379,97 +383,79 @@ class TwoStageChecker(CollisionChecker):
                     return True
         return False
 
-    def _batch_motion_results(self, bodies: BodyBatch, offsets: np.ndarray):
+    def _batch_motion_results(self, bodies: BodyBatch, bounds: List[int]):
         """Per-block two-stage results from one stacked traversal pass.
 
-        Stage-1 masks and (for ``fine_stage``) the funnelled exact SAT are
-        computed over *all* blocks' body rows at once;
-        :func:`repro.kernels.batch.edge_two_stage_counts` then reduces each
-        contiguous row block to the scalar loop's early-exit totals, so a
-        block's events equal what the scalar reference records for it alone.
+        Stage 1 runs over *all* blocks' body rows at once: the AABB
+        interval grid against every R-tree unit, then the AABB-OBB SAT on
+        the surviving (row, unit) pairs only (the traversal reads the OBB
+        result only where the interval test passed).  The R-tree replay
+        gives per-row test counts and the candidate funnel; the exact
+        OBB-OBB SAT runs only on the candidates.  Each block's walk then
+        stops at its first hitting row, and its events are the scalar
+        loop's totals through that row.
         """
         env = self.environment
         ftree = env.flat_rtree
-        dim = env.workspace_dim
-        lo, hi = bodies.aabb_corners()
-        aabb_mask = kernels_batch.aabb_aabb_grid(lo, hi, ftree.unit_lo, ftree.unit_hi)
-        # The traversal only ever consumes the OBB mask conjoined with the
-        # AABB mask (node descent, candidate funnel), so the exact AABB-OBB
-        # SAT need only run where the cheap interval test already passed.
-        obb_mask = kernels_batch.masked_aabb_obb_grid(
-            ftree.unit_lo, ftree.unit_hi,
-            bodies.centers, bodies.half_extents, bodies.rotations,
-            aabb_mask,
+        body = bodies.terms()
+        aabb_mask, passed = kernels_batch.overlap_filtered(
+            *bodies.aabb_corners(), ftree.unit_lo_t, ftree.unit_hi_t,
+            lambda rows, cols: kernels_batch.aabb_obb_gathered(
+                ftree.unit_terms, cols, body, rows),
         )
-        split = ftree.num_nodes
-        n_aabb, n_obb, candidates = ftree.batch_query_counts(
-            aabb_mask[:, :split], obb_mask[:, :split],
-            aabb_mask[:, split:], obb_mask[:, split:],
-        )
-        survivors = candidates.sum(axis=1)
-        count = len(offsets) - 1
-        bpc = bodies.rows // int(offsets[-1])
-        row_offsets = np.asarray(offsets, dtype=np.intp) * bpc
-
+        counts, candidates = ftree.batch_query_counts(aabb_mask, passed)
+        rows, cols = candidates.nonzero()
+        exact = None
         if not self.fine_stage:
-            hits, dones, aabb_tot, obb_tot, sur_tot, _ = (
-                kernels_batch.edge_two_stage_counts(
-                    survivors > 0, n_aabb, n_obb, survivors, row_offsets
-                )
+            hit_rows = rows.tolist()
+        elif rows.size:
+            exact = kernels_batch.obb_obb_gathered(
+                body, rows, env.obstacle_tensors.terms, cols
             )
-            checks = [0] * count
+            hit_rows = rows[exact].tolist()
         else:
-            # Second stage, funnelled: the exact SAT runs only on the
-            # (row, obstacle) pairs whose leaf entry survived stage 1.
-            obs = env.obstacle_tensors
-            stage2 = np.zeros(candidates.shape, dtype=bool)
-            rows, cols = np.nonzero(candidates)
-            if rows.size:
-                stage2[rows, cols] = kernels_batch.obb_obb_pairs(
-                    bodies.centers[rows], bodies.half_extents[rows],
-                    bodies.rotations[rows],
-                    obs.centers[cols], obs.half_extents[cols], obs.rotations[cols],
-                )
-            hits, dones, aabb_tot, obb_tot, sur_tot, last_rows = (
-                kernels_batch.edge_two_stage_counts(
-                    stage2.any(axis=1), n_aabb, n_obb, survivors, row_offsets
-                )
-            )
-            # Misses run the exact SAT on every surviving candidate; hits
-            # stop inside the hitting row at the hitting candidate (its
-            # position in the traversal's static visit order).
-            checks = list(sur_tot)
-            order = ftree.entry_order
-            for e, hit in enumerate(hits):
-                if hit:
-                    row = last_rows[e]
-                    first = int(np.argmax(stage2[row, order]))
-                    checks[e] += int(
-                        np.count_nonzero(candidates[row, order][: first + 1])
-                    ) - int(survivors[row])
+            hit_rows = []
+        row_bounds = [b * bodies.bodies_per_config for b in bounds]
+        hits, stops = kernels_batch.first_hit_stops(hit_rows, row_bounds)
+        totals = kernels_batch.segment_sums(counts, row_bounds[:-1], stops)
 
+        dim = env.workspace_dim
         pairs = []
-        for e, hit in enumerate(hits):
-            captured = OpCounter()
-            captured.record("aabb_derive", dim=dim, n=dones[e])
-            if aabb_tot[e]:
-                captured.record("sat_aabb_aabb", dim=dim, n=aabb_tot[e])
-            if obb_tot[e]:
-                captured.record("sat_aabb_obb", dim=dim, n=obb_tot[e])
-            if checks[e]:
-                captured.record("sat_obb_obb", dim=dim, n=checks[e])
-            pairs.append((hit, captured))
-        bump("repro_cc_stage1_queries_total", sum(dones),
+        dones = checks = survivors = 0
+        for hit, start, stop, (n_aabb, n_obb, n_sur) in zip(
+            hits, row_bounds, stops, totals
+        ):
+            n_checks = n_sur if self.fine_stage else 0
+            if hit and self.fine_stage:
+                # Misses run the exact SAT on every surviving candidate; a
+                # hit stops inside its row at the hitting candidate.
+                n_checks += self._hit_position(
+                    stop - 1, rows, cols, exact, ftree.entry_rank
+                ) - int(counts[2, stop - 1])
+            pairs.append((hit, OpCounter.of(
+                dim, aabb_derive=stop - start, sat_aabb_aabb=n_aabb,
+                sat_aabb_obb=n_obb, sat_obb_obb=n_checks,
+            )))
+            dones += stop - start
+            survivors += n_sur
+            checks += n_checks
+        bump("repro_cc_stage1_queries_total", dones,
              help="Two-stage first-stage (R-tree AABB filter) queries")
-        total_survivors = sum(sur_tot)
-        if total_survivors:
-            bump("repro_cc_stage1_survivors_total", total_survivors,
+        if survivors:
+            bump("repro_cc_stage1_survivors_total", survivors,
                  help="Obstacles surviving the first-stage AABB filter")
-        total_checks = sum(checks)
-        if total_checks:
-            bump("repro_cc_stage2_checks_total", total_checks,
+        if checks:
+            bump("repro_cc_stage2_checks_total", checks,
                  help="Exact OBB-OBB checks run in the second stage")
         return pairs
+
+    @staticmethod
+    def _hit_position(row: int, rows, cols, exact, entry_rank) -> int:
+        """1-based place of ``row``'s first hitting candidate among its
+        candidates, in the traversal's static visit order."""
+        in_row = rows == row
+        ranks = entry_rank[cols[in_row]]
+        return int(np.count_nonzero(ranks <= ranks[exact[in_row]].min()))
 
 
 class OccupancyGridChecker(CollisionChecker):

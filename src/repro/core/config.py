@@ -143,6 +143,8 @@ class PlannerConfig:
             raise ValueError("speculation_depth must be >= 0")
         if self.wave_width < 1:
             raise ValueError("wave_width must be >= 1")
+        if self.simbr_capacity < 3:
+            raise ValueError("simbr_capacity must be >= 3")
         if self.wave_width > 1 and self.speculation_depth != 0:
             raise ValueError(
                 "wave_width > 1 implies speculation_depth = wave_width; "

@@ -136,6 +136,16 @@ class OpCounter:
         self.events[kind] = self.events.get(kind, 0) + n
         self.macs[kind] = self.macs.get(kind, 0.0) + n * mac_cost(kind, dim)
 
+    @classmethod
+    def of(cls, dim: Optional[int], **counts: int) -> "OpCounter":
+        """Counter holding ``counts[kind]`` events of each kind at ``dim``.
+
+        Zero counts are skipped.  Equal to recording each nonzero count
+        once into a fresh counter, in argument order, in one construction.
+        """
+        events = {kind: n for kind, n in counts.items() if n}
+        return cls(events, {kind: n * mac_cost(kind, dim) for kind, n in events.items()})
+
     def total_macs(self) -> float:
         """Total MAC-equivalents across all kinds."""
         return sum(self.macs.values())

@@ -125,6 +125,7 @@ class RobotModel:
 
 
 _MOBILE2D_HALF = np.array([8.0, 5.0])
+_MOBILE2D_HALF_ROW = _MOBILE2D_HALF.reshape(1, 1, 2)
 
 
 def _mobile2d_body(config: np.ndarray) -> List[OBB]:
@@ -133,9 +134,8 @@ def _mobile2d_body(config: np.ndarray) -> List[OBB]:
 
 
 def _mobile2d_body_batch(configs: np.ndarray) -> tuple:
-    k = configs.shape[0]
-    centers = configs[:, None, :2].copy()
-    halves = np.broadcast_to(_MOBILE2D_HALF, (k, 1, 2))
+    centers = configs[:, None, :2]
+    halves = _MOBILE2D_HALF_ROW.repeat(configs.shape[0], axis=0)
     rotations = rotations_2d_batch(configs[:, 2])[:, None]
     return centers, halves, rotations
 
@@ -160,6 +160,7 @@ def make_mobile2d() -> RobotModel:
 
 
 _DRONE3D_HALF = np.array([7.0, 7.0, 2.5])
+_DRONE3D_HALF_ROW = _DRONE3D_HALF.reshape(1, 1, 3)
 
 
 def _drone3d_body(config: np.ndarray) -> List[OBB]:
@@ -169,9 +170,8 @@ def _drone3d_body(config: np.ndarray) -> List[OBB]:
 
 
 def _drone3d_body_batch(configs: np.ndarray) -> tuple:
-    k = configs.shape[0]
-    centers = configs[:, None, :3].copy()
-    halves = np.broadcast_to(_DRONE3D_HALF, (k, 1, 3))
+    centers = configs[:, None, :3]
+    halves = _DRONE3D_HALF_ROW.repeat(configs.shape[0], axis=0)
     rotations = rotations_from_euler_batch(
         configs[:, 3], configs[:, 4], configs[:, 5]
     )[:, None]
@@ -247,12 +247,11 @@ def _arm_batch_body_fn(
         for link in links
         if link.half_width is not None
     ]
-    halves_matrix = np.stack(half_rows)
+    halves_rows = np.stack(half_rows)[None]
     axes_matrix = np.stack([unit_axis(link.axis) for link in links])
     identity = np.eye(3)
 
     def body(configs: np.ndarray) -> tuple:
-        k = configs.shape[0]
         # The base frame broadcasts against the first link's (k, ...) rows.
         rotation, position = identity, base
         centers, rotations = [], []
@@ -271,7 +270,7 @@ def _arm_batch_body_fn(
             position = position + direction
         return (
             np.stack(centers, axis=1),
-            np.broadcast_to(halves_matrix, (k,) + halves_matrix.shape),
+            halves_rows.repeat(configs.shape[0], axis=0),
             np.stack(rotations, axis=1),
         )
 

@@ -53,8 +53,13 @@ def motion_steps(start: np.ndarray, end: np.ndarray, resolution: float) -> int:
         raise ValueError("resolution must be positive")
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
-    dist = distance(end, start)
-    return max(1, int(math.ceil(dist / resolution)))
+    return _steps(end - start, resolution)
+
+
+def _steps(delta: np.ndarray, resolution: float) -> int:
+    """:func:`motion_steps` of a movement by ``delta`` (the arithmetic of
+    :func:`distance`)."""
+    return max(1, int(math.ceil(math.sqrt(float(delta.dot(delta))) / resolution)))
 
 
 @lru_cache(maxsize=512)
@@ -105,28 +110,29 @@ def interpolate_edges(starts: np.ndarray, ends: np.ndarray, resolution: float):
 
     Returns ``(configs, offsets)`` where ``configs[offsets[e]:offsets[e+1]]``
     is edge ``e``'s ladder and equals ``interpolate_configs(starts[e],
-    ends[e], resolution)`` bit-for-bit.  Step counts use the exact
-    :func:`motion_steps` arithmetic per edge (so ulp behaviour matches the
-    scalar path); the row construction itself is one vectorized
-    multiply-add over the stacked fractions — no per-row Python.
+    ends[e], resolution)`` bit-for-bit; ``offsets`` is a list of ints.
+    Step counts use the exact :func:`motion_steps` arithmetic per edge (so
+    ulp behaviour matches the scalar path); the row construction itself is
+    one vectorized multiply-add over the stacked fractions — no per-row
+    Python.
     """
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
     if starts.shape != ends.shape or starts.ndim != 2:
         raise ValueError("starts and ends must be matching (edges, dof) arrays")
-    edges = len(starts)
-    counts = [motion_steps(starts[e], ends[e], resolution) + 1 for e in range(edges)]
-    offsets = np.array([0, *accumulate(counts)], dtype=np.intp)
-    if not edges:
-        return np.empty((0, starts.shape[1])), offsets
-    if edges == 1:
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
+    deltas = ends - starts
+    counts = [_steps(delta, resolution) + 1 for delta in deltas]
+    offsets = [0, *accumulate(counts)]
+    if len(counts) == 1:
         # A single-edge check (the W=1 planners' unit of work) skips the
         # repeat/concatenate bookkeeping; the arithmetic is the same.
-        fractions = unit_fractions(counts[0] - 1)
-        configs = starts[0] + fractions[:, None] * (ends[0] - starts[0])
-        return configs, offsets
+        return starts[0] + unit_fractions(counts[0] - 1)[:, None] * deltas[0], offsets
+    if not counts:
+        return np.empty((0, starts.shape[1])), offsets
     fractions = np.concatenate([unit_fractions(c - 1) for c in counts])
     configs = np.repeat(starts, counts, axis=0) + fractions[:, None] * np.repeat(
-        ends - starts, counts, axis=0
+        deltas, counts, axis=0
     )
     return configs, offsets

@@ -16,8 +16,9 @@ Shapes follow two conventions:
 * ``*_pairs`` kernels take matched ``(P, ...)`` rows and return ``(P,)``
   booleans (gathered survivor pairs of the two-stage funnel).
 
-Internally every kernel broadcasts over arbitrary leading dimensions, so
-the grid functions are thin wrappers that insert axes.
+The 3D SAT broadcasts over arbitrary leading dimensions, so a 3D grid
+inserts axes; the 2D SAT runs on per-box terms gathered into flat pair
+arrays (:func:`box_terms`), so a 2D grid gathers over an index grid.
 
 No kernel reduces over a short trailing axis (the 2-3 coordinates of a
 box, the 4 corners of a rectangle, the 3 or 9 SAT axes of a family):
@@ -30,23 +31,31 @@ of a reduction never changes its result: these forms are exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from typing import List, NamedTuple, Optional, Tuple
+
 import numpy as np
 
 from repro.geometry.sat import _EPS
 
 __all__ = [
+    "BoxTerms",
     "aabb_aabb_grid",
+    "aabb_aabb_grid_t",
+    "aabb_obb_gathered",
     "aabb_obb_grid",
     "aabb_obb_pairs",
-    "edge_aabb_obb_grid",
-    "edge_obb_obb_grid",
-    "edge_two_stage_counts",
-    "masked_aabb_obb_grid",
+    "aabb_terms",
+    "box_terms",
+    "first_hit_stops",
+    "obb_obb_gathered",
     "obb_obb_grid",
     "obb_obb_pairs",
+    "overlap_filtered",
     "nearest_index",
     "radius_mask",
     "segment_first_hit",
+    "segment_sums",
 ]
 
 
@@ -63,19 +72,28 @@ def aabb_aabb_grid(a_lo: np.ndarray, a_hi: np.ndarray,
                    b_lo: np.ndarray, b_hi: np.ndarray) -> np.ndarray:
     """Interval-overlap SAT of ``R`` boxes against ``M`` boxes: ``(R, M)``.
 
-    The comparisons fill one ``(dim, R, M)`` plane per dimension, ORed
-    across the leading dimension axis.
+    The comparisons fill one ``(dim, R, M)`` plane per dimension, ANDed
+    across the leading dimension axis (the scalar ``lo <= hi`` tests).
     """
-    a_lo = np.asarray(a_lo, dtype=float).T[:, :, None]
-    a_hi = np.asarray(a_hi, dtype=float).T[:, :, None]
-    b_lo = np.asarray(b_lo, dtype=float).T[:, None, :]
-    b_hi = np.asarray(b_hi, dtype=float).T[:, None, :]
-    separated = np.greater(a_lo, b_hi, order="C")
-    separated |= np.greater(b_lo, a_hi, order="C")
-    return ~np.logical_or.reduce(separated, axis=0)
+    return aabb_aabb_grid_t(
+        np.asarray(a_lo, dtype=float), np.asarray(a_hi, dtype=float),
+        np.asarray(b_lo, dtype=float).T, np.asarray(b_hi, dtype=float).T,
+    )
 
 
-# ----------------------------------------------------------------- OBB / OBB
+def aabb_aabb_grid_t(a_lo, a_hi, b_lo_t, b_hi_t) -> np.ndarray:
+    """:func:`aabb_aabb_grid` with the right boxes given transposed,
+    ``(dim, M)``: a fixed box set is transposed once, not per call."""
+    overlap = np.less_equal(a_lo.T[:, :, None], b_hi_t[:, None, :], order="C")
+    overlap &= np.less_equal(b_lo_t[:, None, :], a_hi.T[:, :, None], order="C")
+    # AND over the 2-3 dimension planes, one whole plane at a time.
+    out = overlap[0]
+    for plane in overlap[1:]:
+        out &= plane
+    return out
+
+
+# ------------------------------------------------------------------- 3D SAT
 
 # Flattened (i, j) index grids for the 9 edge-cross axes of the 3D SAT,
 # replicating the scalar loop's (i1, i2) = (i+1, i+2) mod 3 pattern.
@@ -114,118 +132,20 @@ def _sat_obb_obb_3d(a_c, a_h, a_r, b_c, b_h, b_r) -> np.ndarray:
     return ~sep
 
 
-# Corner sign pattern of OBB.corners(): bit d of corner c selects +/- axis d.
-_CORNER_SIGNS_2D = np.array(
-    [[1.0 if (c >> d) & 1 else -1.0 for d in range(2)] for c in range(4)]
-)
+def _aabb_obb_face_terms_3d(b_h, b_r):
+    """The 3D AABB-OBB SAT terms that depend on the OBB alone.
 
-# 2D corner sets and their projections are laid out corner-first,
-# ``(4,) + L + (2,)``, so the min/max over the 4 corners reduces whole
-# contiguous blocks.
-
-
-def _corner_offsets_2d(h) -> np.ndarray:
-    """``signs * half`` per corner of half extents ``L + (2,)``:
-    ``(4,) + L + (2,)``."""
-    signs = _CORNER_SIGNS_2D.reshape((4,) + (1,) * (h.ndim - 1) + (2,))
-    return signs * h
-
-
-def _corners_2d(c, h, r) -> np.ndarray:
-    """World corners of 2D OBBs over leading dims: ``(4,) + L + (2,)``.
-
-    Same sign ordering and arithmetic as :meth:`repro.geometry.obb.OBB.
-    corners` (``center + R @ (signs * half)``); the matrix product is
-    written out as its two-term sum, which matches the einsum accumulation
-    bit-for-bit while avoiding its strided-iteration dispatch cost.
+    ``(|R| + EPS, face radii on the world axes, radii on the 9 edge-cross
+    axes)``: computed once per OBB and gathered into its pairs, they are
+    the values the pair test would otherwise recompute for every box.
     """
-    local = _corner_offsets_2d(h)
-    rotated = r[..., :, 0] * local[..., 0, None] + r[..., :, 1] * local[..., 1, None]
-    return c + rotated
+    abs_rot = np.abs(b_r) + _EPS
+    rb_face = np.einsum("...ij,...j->...i", abs_rot, b_h)
+    rb3 = b_h[..., _J1] * abs_rot[..., _I, _J2] + b_h[..., _J2] * abs_rot[..., _I, _J1]
+    return abs_rot, rb_face, rb3
 
 
-def _proj_2d(corners, axes) -> np.ndarray:
-    """Project corner sets on frame axes: ``proj[c, ..., k] = corners[c,
-    ..., :] @ (column k of axes)`` as an explicit two-term sum (bit-identical
-    to the einsum contraction, several times faster on broadcast operands).
-    """
-    return corners[..., 0, None] * axes[..., 0, :] + corners[..., 1, None] * axes[..., 1, :]
-
-
-def _interval_sep_2d(proj_a, proj_b) -> np.ndarray:
-    """Per-axis interval-overlap separation over corner projections."""
-    a_min, a_max = np.minimum.reduce(proj_a), np.maximum.reduce(proj_a)
-    b_min, b_max = np.minimum.reduce(proj_b), np.maximum.reduce(proj_b)
-    sep = (a_max < b_min - _EPS) | (b_max < a_min - _EPS)
-    return sep[..., 0] | sep[..., 1]
-
-
-def _sat_obb_obb_2d(a_c, a_h, a_r, b_c, b_h, b_r) -> np.ndarray:
-    """4-axis corner-projection SAT in 2D over broadcast leading dims.
-
-    Mirrors ``repro.geometry.sat._obb_obb_2d``: project both corner sets on
-    each box's two frame axes (the rows of ``R.T``, i.e. the columns of
-    ``R``) and test interval overlap with the ``_EPS`` slack.
-    """
-    corners_a = _corners_2d(a_c, a_h, a_r)     # (4,) + L + (2,)
-    corners_b = _corners_2d(b_c, b_h, b_r)
-    sep = None
-    for axes in (a_r, b_r):
-        s = _interval_sep_2d(_proj_2d(corners_a, axes), _proj_2d(corners_b, axes))
-        sep = s if sep is None else (sep | s)
-    return ~sep
-
-
-def _sat_aabb_obb_2d(a_c, a_h, b_c, b_h, b_r) -> np.ndarray:
-    """2D AABB-OBB SAT: the identity-frame specialisation.
-
-    The scalar reference feeds the AABB through the corner-projection test
-    with an identity rotation; projecting any corner set on the identity
-    columns reproduces the corner coordinates exactly (the extra products
-    contribute only signed zeros, invisible to the interval comparisons),
-    and the AABB's own corners are ``center + signs * half`` verbatim.
-    Skipping those no-op contractions halves the kernel's heavy work.
-    """
-    corners_a = a_c + _corner_offsets_2d(a_h)
-    corners_b = _corners_2d(b_c, b_h, b_r)
-    # Axes of a: the world axes — projections are the corner coordinates.
-    sep = _interval_sep_2d(corners_a, corners_b)
-    # Axes of b: genuine change of basis for both corner sets.
-    sep |= _interval_sep_2d(_proj_2d(corners_a, b_r), _proj_2d(corners_b, b_r))
-    return ~sep
-
-
-def _sat_obb_obb(a_c, a_h, a_r, b_c, b_h, b_r) -> np.ndarray:
-    if a_c.shape[-1] == 3:
-        return _sat_obb_obb_3d(a_c, a_h, a_r, b_c, b_h, b_r)
-    return _sat_obb_obb_2d(a_c, a_h, a_r, b_c, b_h, b_r)
-
-
-def obb_obb_grid(a_c, a_h, a_r, b_c, b_h, b_r) -> np.ndarray:
-    """Exact OBB-OBB SAT of ``R`` boxes against ``M`` boxes: ``(R, M)`` bool."""
-    return _sat_obb_obb(
-        np.asarray(a_c, dtype=float)[:, None, :],
-        np.asarray(a_h, dtype=float)[:, None, :],
-        np.asarray(a_r, dtype=float)[:, None, :, :],
-        np.asarray(b_c, dtype=float)[None, :, :],
-        np.asarray(b_h, dtype=float)[None, :, :],
-        np.asarray(b_r, dtype=float)[None, :, :, :],
-    )
-
-
-def obb_obb_pairs(a_c, a_h, a_r, b_c, b_h, b_r) -> np.ndarray:
-    """Exact OBB-OBB SAT of ``P`` matched pairs: ``(P,)`` bool."""
-    return _sat_obb_obb(
-        np.asarray(a_c, dtype=float), np.asarray(a_h, dtype=float),
-        np.asarray(a_r, dtype=float), np.asarray(b_c, dtype=float),
-        np.asarray(b_h, dtype=float), np.asarray(b_r, dtype=float),
-    )
-
-
-# ---------------------------------------------------------------- AABB / OBB
-
-
-def _sat_aabb_obb_3d(a_c, a_h, b_c, b_h, b_r) -> np.ndarray:
+def _sat_aabb_obb_3d(a_c, a_h, b_c, b_h, b_r, abs_rot, rb_face, rb3) -> np.ndarray:
     """15-axis AABB-OBB SAT over broadcast leading dims (3D fast path).
 
     The scalar ``aabb_intersects_obb`` feeds the AABB into the OBB-OBB test
@@ -233,13 +153,12 @@ def _sat_aabb_obb_3d(a_c, a_h, b_c, b_h, b_r) -> np.ndarray:
     to ``b_r`` and the frame-local translation to ``b_c - a_c`` exactly
     (multiplying by the identity adds only signed zeros).  This kernel
     starts from those collapsed values, skipping the two big contractions —
-    the same cost advantage the first-stage hardware check exploits.
+    the same cost advantage the first-stage hardware check exploits.  The
+    OBB-only terms come from :func:`_aabb_obb_face_terms_3d`.
     """
     t = b_c - a_c
-    abs_rot = np.abs(b_r) + _EPS
 
     # Axes L = A0, A1, A2 (the world axes).
-    rb_face = np.einsum("...ij,...j->...i", abs_rot, b_h)
     sep = _any_last(np.abs(t) > a_h + rb_face)
 
     # Axes L = B0, B1, B2 (the OBB's face normals).
@@ -249,10 +168,102 @@ def _sat_aabb_obb_3d(a_c, a_h, b_c, b_h, b_r) -> np.ndarray:
 
     # Axes L = Ai x Bj.
     ra3 = a_h[..., _I1] * abs_rot[..., _I2, _J] + a_h[..., _I2] * abs_rot[..., _I1, _J]
-    rb3 = b_h[..., _J1] * abs_rot[..., _I, _J2] + b_h[..., _J2] * abs_rot[..., _I, _J1]
     dist3 = np.abs(t[..., _I2] * b_r[..., _I1, _J] - t[..., _I1] * b_r[..., _I2, _J])
     sep |= _any_last(dist3 > ra3 + rb3)
     return ~sep
+
+
+# ---------------------------------------------------------------- box terms
+#
+# A single edge is a handful of rows against a handful of boxes, so its
+# SAT pass is priced in array calls, not arithmetic.  The pair tests work
+# on flat gathered pair arrays and never recompute, per pair, a term that
+# depends on one box only: :func:`box_terms` computes those once per box
+# (once per environment for obstacles and R-tree units, once per body row
+# per call), and the ``*_gathered`` tests gather them into the pairs.  The
+# pair and grid kernels below are the same tests over index ranges, so
+# the code the planner runs is the code the kernel benchmark times.
+
+
+class BoxTerms(NamedTuple):
+    """Per-box SAT operands of ``n`` boxes, gathered into pair tests.
+
+    Attributes:
+        centers / half_extents: ``(n, d)``.
+        rotations: ``(n, d, d)``; None for axis-aligned boxes.
+        axes / corners / intervals: 2D only, one row per component and one
+            column per box, so that gathering pairs (``take`` along axis 1)
+            leaves every component a contiguous row and a pair test is a
+            few whole-row ops (:func:`_axes_sep_2d`): ``axes`` ``(16, n)``
+            holds ``R00, R01, R10, R11`` each repeated for the 4 corners,
+            ``corners`` ``(16, n)`` the corner x coordinates twice then the
+            y coordinates twice, and ``intervals`` ``(8, n)`` the corners'
+            projections on the box's own axes and on the world axes as
+            ``[own lo - EPS, world lo - EPS, own hi, world hi]`` (2 axes
+            each; ``lo - EPS`` is the form every SAT comparison reads).
+        face: 3D OBBs only, :func:`_aabb_obb_face_terms_3d`.
+    """
+
+    centers: np.ndarray
+    half_extents: np.ndarray
+    rotations: Optional[np.ndarray] = None
+    axes: Optional[np.ndarray] = None
+    corners: Optional[np.ndarray] = None
+    intervals: Optional[np.ndarray] = None
+    face: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+
+# Corner sign pattern of OBB.corners(): bit d of corner c selects +/- axis d.
+_CORNER_SIGNS_2D = np.array(
+    [[1.0 if (c >> d) & 1 else -1.0 for d in range(2)] for c in range(4)]
+)
+# Corner offsets ``signs * h`` in the 8- and 16-row layouts of BoxTerms,
+# [s0 h0, s1 h1] and [s0 h0, s1 h1, s0 h0, s1 h1] (4 corners each), as the
+# half-extent component and the sign of every row.
+_HALF_8 = np.array([0, 1]).repeat(4)
+_HALF_16 = np.tile(_HALF_8, 2)
+_SIGNS_8 = _CORNER_SIGNS_2D.T.reshape(8, 1)
+_SIGNS_16 = np.tile(_SIGNS_8, (2, 1))
+_IDENTITY_AXES = np.eye(2).reshape(4, 1).repeat(4, axis=0)
+
+
+def box_terms(c, h, r=None) -> BoxTerms:
+    """:class:`BoxTerms` of the boxes ``(c, h, r)``; ``r`` None for AABBs.
+
+    Same arithmetic as the scalar ``repro.geometry.sat`` 2D test: an
+    oriented box's corners are :meth:`~repro.geometry.obb.OBB.corners`'
+    ``c + R @ (signs * h)``, written as the two-term sum
+    ``c + (R[:, 0] * l0 + R[:, 1] * l1)``; an axis-aligned box's are
+    ``c + signs * h`` (the identity product adds only signed zeros) with
+    the world axes as its own; a projection on axis ``k`` is
+    ``x * R[0, k] + y * R[1, k]``.
+    """
+    if c.shape[-1] == 3:
+        face = None if r is None else _aabb_obb_face_terms_3d(h, r)
+        return BoxTerms(c, h, r, face=face)
+    n = len(c)
+    # Projections on the own axes (rows 0-1) and the corner coordinates,
+    # i.e. the projections on the world axes (rows 2-3), by 4 corners.
+    values = np.empty((4, 4, n))
+    world = values[2:4].reshape(8, n)
+    if r is None:
+        axes = _IDENTITY_AXES.repeat(n, axis=1)
+        np.add(c.T.repeat(4, axis=0), h.T.take(_HALF_8, axis=0) * _SIGNS_8, out=world)
+        values[0:2] = values[2:4]
+    else:
+        axes = r.reshape(n, 4).T.repeat(4, axis=0)
+        rotated = (axes * (h.T.take(_HALF_16, axis=0) * _SIGNS_16)).reshape(2, 2, 4, n)
+        np.add(c.T.repeat(4, axis=0), (rotated[:, 0] + rotated[:, 1]).reshape(8, n),
+               out=world)
+    corners = world.reshape(2, 1, 4, n).repeat(2, axis=1).reshape(16, n)
+    if r is not None:
+        own = axes * corners
+        np.add(own[0:8], own[8:16], out=values[0:2].reshape(8, n))
+    intervals = np.empty((2, 4, n))
+    np.minimum.reduce(values, axis=1, out=intervals[0])
+    intervals[0] -= _EPS
+    np.maximum.reduce(values, axis=1, out=intervals[1])
+    return BoxTerms(c, h, r, axes, corners, intervals.reshape(8, n))
 
 
 def _aabb_as_obb(lo, hi):
@@ -264,43 +275,150 @@ def _aabb_as_obb(lo, hi):
     return center, half
 
 
+def aabb_terms(lo, hi) -> BoxTerms:
+    """:class:`BoxTerms` of AABB rows ``(lo, hi)`` (identity frame)."""
+    return box_terms(*_aabb_as_obb(lo, hi))
+
+
+def _axes_sep_2d(intervals, axes, corners) -> np.ndarray:
+    """``(2, P)`` SAT separation of pairs on the two own axes of box S.
+
+    ``intervals`` and ``axes`` are S's gathered :class:`BoxTerms`
+    columns, ``corners`` the other box's: the other box's corners
+    projected on S's axes (one product and one sum of aligned rows)
+    against S's own interval, with the scalar test's ``_EPS`` slack.
+    """
+    prod = axes * corners
+    proj = (prod[0:8] + prod[8:16]).reshape(2, 4, prod.shape[1])
+    return ((intervals[4:6] < np.minimum.reduce(proj, axis=1) - _EPS)
+            | (np.maximum.reduce(proj, axis=1) < intervals[0:2]))
+
+
+def aabb_obb_gathered(boxes: BoxTerms, box_idx, obbs: BoxTerms, obb_idx) -> np.ndarray:
+    """AABB-OBB SAT of the pairs ``(boxes[box_idx[p]], obbs[obb_idx[p]])``.
+
+    Returns ``(P,)`` booleans, the scalar ``aabb_intersects_obb`` verdicts.
+    """
+    if boxes.intervals is None:
+        return _sat_aabb_obb_3d(
+            boxes.centers.take(box_idx, axis=0), boxes.half_extents.take(box_idx, axis=0),
+            obbs.centers.take(obb_idx, axis=0), obbs.half_extents.take(obb_idx, axis=0),
+            obbs.rotations.take(obb_idx, axis=0),
+            *(term.take(obb_idx, axis=0) for term in obbs.face),
+        )
+    a = boxes.intervals.take(box_idx, axis=1)
+    b = obbs.intervals.take(obb_idx, axis=1)
+    # World axes: both boxes' corner intervals are precomputed.
+    sep = (a[6:8] < b[2:4]) | (b[6:8] < a[2:4])
+    # The OBB's axes: the box's corners projected against the OBB's own.
+    sep |= _axes_sep_2d(b, obbs.axes.take(obb_idx, axis=1),
+                        boxes.corners.take(box_idx, axis=1))
+    return ~(sep[0] | sep[1])
+
+
+def obb_obb_gathered(a: BoxTerms, a_idx, b: BoxTerms, b_idx) -> np.ndarray:
+    """Exact OBB-OBB SAT of the pairs ``(a[a_idx[p]], b[b_idx[p]])``.
+
+    Returns ``(P,)`` booleans, the scalar ``obb_intersects_obb`` verdicts.
+    """
+    if a.intervals is None:
+        return _sat_obb_obb_3d(
+            a.centers.take(a_idx, axis=0), a.half_extents.take(a_idx, axis=0),
+            a.rotations.take(a_idx, axis=0), b.centers.take(b_idx, axis=0),
+            b.half_extents.take(b_idx, axis=0), b.rotations.take(b_idx, axis=0),
+        )
+    sep = _axes_sep_2d(a.intervals.take(a_idx, axis=1), a.axes.take(a_idx, axis=1),
+                       b.corners.take(b_idx, axis=1))
+    sep |= _axes_sep_2d(b.intervals.take(b_idx, axis=1), b.axes.take(b_idx, axis=1),
+                        a.corners.take(a_idx, axis=1))
+    return ~(sep[0] | sep[1])
+
+
+def overlap_filtered(lo, hi, fixed_lo_t, fixed_hi_t, pair_test):
+    """``(overlap, verdicts)`` of ``R`` row boxes against ``M`` fixed boxes.
+
+    ``overlap`` is their AABB interval grid (:func:`aabb_aabb_grid_t`, the
+    fixed side transposed).  An AABB miss proves the boxes separate, so
+    the gathered ``pair_test(rows, cols)`` runs only on the overlapping
+    pairs; ``verdicts`` holds its result there and False elsewhere.  Both
+    are ``(R, M)`` booleans.
+    """
+    overlap = aabb_aabb_grid_t(lo, hi, fixed_lo_t, fixed_hi_t)
+    verdicts = np.zeros_like(overlap)
+    rows, cols = overlap.nonzero()
+    if rows.size:
+        verdicts[rows, cols] = pair_test(rows, cols)
+    return overlap, verdicts
+
+
+# ------------------------------------------------------- pair / grid kernels
+#
+# 3D broadcasts the SAT over the grid's two axes; 2D runs the gathered
+# tests over index ranges (``arange`` for matched pairs, the row-major
+# index grid for ``R x M``).
+
+
+def _grid_indices(rows: int, cols: int):
+    """Row and column index of every cell of a row-major ``rows x cols`` grid."""
+    return np.arange(rows).repeat(cols), np.tile(np.arange(cols), rows)
+
+
+def obb_obb_grid(a_c, a_h, a_r, b_c, b_h, b_r) -> np.ndarray:
+    """Exact OBB-OBB SAT of ``R`` boxes against ``M`` boxes: ``(R, M)`` bool."""
+    a_c, a_h, a_r, b_c, b_h, b_r = (
+        np.asarray(x, dtype=float) for x in (a_c, a_h, a_r, b_c, b_h, b_r))
+    if a_c.shape[-1] == 3:
+        return _sat_obb_obb_3d(a_c[:, None], a_h[:, None], a_r[:, None],
+                               b_c[None], b_h[None], b_r[None])
+    a_idx, b_idx = _grid_indices(len(a_c), len(b_c))
+    return obb_obb_gathered(box_terms(a_c, a_h, a_r), a_idx,
+                            box_terms(b_c, b_h, b_r), b_idx).reshape(len(a_c), len(b_c))
+
+
+def obb_obb_pairs(a_c, a_h, a_r, b_c, b_h, b_r) -> np.ndarray:
+    """Exact OBB-OBB SAT of ``P`` matched pairs: ``(P,)`` bool."""
+    a_c, a_h, a_r, b_c, b_h, b_r = (
+        np.asarray(x, dtype=float) for x in (a_c, a_h, a_r, b_c, b_h, b_r))
+    if a_c.shape[-1] == 3:
+        return _sat_obb_obb_3d(a_c, a_h, a_r, b_c, b_h, b_r)
+    idx = np.arange(len(a_c))
+    return obb_obb_gathered(box_terms(a_c, a_h, a_r), idx, box_terms(b_c, b_h, b_r), idx)
+
+
 def aabb_obb_grid(box_lo, box_hi, b_c, b_h, b_r) -> np.ndarray:
     """First-stage AABB-OBB SAT: ``M`` boxes against ``R`` OBBs: ``(R, M)``.
 
     The AABB is the *a* operand (identity rotation), exactly like the scalar
-    ``aabb_intersects_obb``.  3D uses the dedicated no-basis-change kernel;
-    2D routes through the corner-projection test with an identity frame
-    (projecting on the identity columns adds only signed zeros).
+    ``aabb_intersects_obb``.
     """
-    b_c = np.asarray(b_c, dtype=float)[:, None, :]
-    b_h = np.asarray(b_h, dtype=float)[:, None, :]
-    b_r = np.asarray(b_r, dtype=float)[:, None, :, :]
+    b_c, b_h, b_r = (np.asarray(x, dtype=float) for x in (b_c, b_h, b_r))
     center, half = _aabb_as_obb(box_lo, box_hi)
     if center.shape[-1] == 3:
-        return _sat_aabb_obb_3d(center[None, :, :], half[None, :, :], b_c, b_h, b_r)
-    return _sat_aabb_obb_2d(center[None, :, :], half[None, :, :], b_c, b_h, b_r)
+        b_h, b_r = b_h[:, None], b_r[:, None]
+        return _sat_aabb_obb_3d(center[None], half[None], b_c[:, None], b_h, b_r,
+                                *_aabb_obb_face_terms_3d(b_h, b_r))
+    obb_idx, box_idx = _grid_indices(len(b_c), len(center))
+    return aabb_obb_gathered(box_terms(center, half), box_idx, box_terms(b_c, b_h, b_r),
+                             obb_idx).reshape(len(b_c), len(center))
 
 
 def aabb_obb_pairs(box_lo, box_hi, b_c, b_h, b_r) -> np.ndarray:
     """First-stage AABB-OBB SAT over ``P`` matched pairs: ``(P,)`` bool."""
-    b_c = np.asarray(b_c, dtype=float)
-    b_h = np.asarray(b_h, dtype=float)
-    b_r = np.asarray(b_r, dtype=float)
+    b_c, b_h, b_r = (np.asarray(x, dtype=float) for x in (b_c, b_h, b_r))
     center, half = _aabb_as_obb(box_lo, box_hi)
     if center.shape[-1] == 3:
-        return _sat_aabb_obb_3d(center, half, b_c, b_h, b_r)
-    return _sat_aabb_obb_2d(center, half, b_c, b_h, b_r)
+        return _sat_aabb_obb_3d(center, half, b_c, b_h, b_r,
+                                *_aabb_obb_face_terms_3d(b_h, b_r))
+    idx = np.arange(len(b_c))
+    return aabb_obb_gathered(box_terms(center, half), idx, box_terms(b_c, b_h, b_r), idx)
 
 
 # ------------------------------------------------------ edge-ladder segments
 #
-# Whole-edge validation evaluates the SAT grids for every interpolated
+# Whole-edge validation evaluates the SAT tests of every interpolated
 # waypoint of *several* movements in one stacked pass, then reduces each
-# movement's contiguous segment of the flat mask to the scalar loop's
-# early-exit statistics.  The reductions below are shared by every checker
-# variant; the ``edge_*`` wrappers fuse grid + reduction for the brute
-# checkers, and :func:`edge_two_stage_counts` is the two-stage funnel's
-# per-edge traversal reduction.
+# movement's contiguous block of rows to the scalar loop's early-exit
+# statistics.
 
 
 def segment_first_hit(flat, offsets):
@@ -328,101 +446,33 @@ def segment_first_hit(flat, offsets):
     return hits, visited.astype(np.int64)
 
 
-def edge_obb_obb_grid(a_c, a_h, a_r, a_lo, a_hi,
-                      b_c, b_h, b_r, b_lo, b_hi, row_offsets):
-    """Whole-edge brute OBB-OBB SAT: broadphased grid + per-edge reduction.
+def first_hit_stops(hit_rows: List[int], bounds: List[int]):
+    """Where each row block's early-exit walk stops.
 
-    ``a_*`` hold the body boxes of every waypoint of every edge (row
-    blocks bounded by ``row_offsets``, in body-row units) with their
-    derived world AABBs; ``b_*`` the obstacle set and its AABBs.  The
-    cheap interval test prunes the grid first — an enclosing-AABB miss
-    proves OBB separation, so running the exact SAT only on the surviving
-    pairs reproduces the full grid's booleans bit-for-bit at a fraction
-    of the arithmetic.  Returns :func:`segment_first_hit` over the scalar
-    (waypoint, body, obstacle) iteration order, with ``visited`` counting
-    SAT tests.
+    ``bounds`` (length ``E + 1``) bounds ``E`` contiguous blocks of rows;
+    ``hit_rows`` lists the rows holding a hit, ascending (repeats allowed).
+    Returns lists ``(hits, stops)``: whether block ``b`` holds a hit, and
+    one past the last row its walk processes (its first hit row, else its
+    end).  A call holds a handful of blocks, so this is Python over lists.
     """
-    mask = aabb_aabb_grid(a_lo, a_hi, b_lo, b_hi)
-    rows, cols = np.nonzero(mask)
-    if rows.size:
-        mask[rows, cols] = obb_obb_pairs(
-            a_c[rows], a_h[rows], a_r[rows], b_c[cols], b_h[cols], b_r[cols]
-        )
-    flat_offsets = np.asarray(row_offsets, dtype=np.intp) * mask.shape[1]
-    return segment_first_hit(mask, flat_offsets)
-
-
-def edge_aabb_obb_grid(box_lo, box_hi, b_c, b_h, b_r, b_lo, b_hi, row_offsets):
-    """Whole-edge brute AABB-OBB SAT: broadphased grid + per-edge reduction.
-
-    ``b_*`` are the body boxes (edge row blocks bounded by
-    ``row_offsets``) with their derived world AABBs; ``box_lo/hi`` the
-    obstacle AABBs.  Same broadphase-then-exact contract as
-    :func:`edge_obb_obb_grid` — a body whose AABB misses the obstacle box
-    cannot intersect it, so the exact SAT runs only on surviving pairs.
-    """
-    mask = aabb_aabb_grid(b_lo, b_hi, box_lo, box_hi)
-    rows, cols = np.nonzero(mask)
-    if rows.size:
-        mask[rows, cols] = aabb_obb_pairs(
-            box_lo[cols], box_hi[cols], b_c[rows], b_h[rows], b_r[rows]
-        )
-    flat_offsets = np.asarray(row_offsets, dtype=np.intp) * mask.shape[1]
-    return segment_first_hit(mask, flat_offsets)
-
-
-def masked_aabb_obb_grid(box_lo, box_hi, b_c, b_h, b_r, prefilter):
-    """AABB-OBB SAT grid evaluated only where ``prefilter`` is True.
-
-    ``prefilter`` is an ``(R, M)`` boolean matrix (OBB rows x box
-    columns); pairs outside it come back False.  Exact wherever the
-    caller only consumes the result conjoined with ``prefilter`` — the
-    two-stage funnel's short-circuit, where the AABB-AABB stage guards
-    the AABB-OBB stage.
-    """
-    out = np.zeros(prefilter.shape, dtype=bool)
-    rows, cols = np.nonzero(prefilter)
-    if rows.size:
-        out[rows, cols] = aabb_obb_pairs(
-            box_lo[cols], box_hi[cols], b_c[rows], b_h[rows], b_r[rows]
-        )
-    return out
-
-
-def edge_two_stage_counts(row_hit, n_aabb, n_obb, survivors, row_offsets):
-    """Per-edge two-stage traversal totals with the scalar early exit.
-
-    Inputs are per-body-row statistics of the stacked R-tree traversal
-    (hit flag, stage-1 AABB-AABB and AABB-OBB test counts, surviving
-    candidates); ``row_offsets`` bounds each edge's contiguous row block.
-    Returns lists ``(hits, dones, aabb_tot, obb_tot, sur_tot, last_rows)``:
-    per-edge hit verdicts, the number of body rows the scalar loop
-    processes (through the first hitting row), the stage-1 totals over
-    those rows, and the index of the last processed row (the hitting row
-    when ``hits[e]``).
-
-    A wave call holds a handful of edges, and a single-edge check one, so
-    the per-edge walk runs over Python lists: cheaper there than the fixed
-    cost of a vectorized segment reduction.
-    """
-    bounds = np.asarray(row_offsets).tolist()
-    hit_rows = np.flatnonzero(row_hit).tolist()
-    aabb, obb, sur = n_aabb.tolist(), n_obb.tolist(), survivors.tolist()
-    out = ([], [], [], [], [], [])
-    hits, dones, aabb_tot, obb_tot, sur_tot, last_rows = out
-    k = 0
+    hits, stops = [], []
     for start, end in zip(bounds, bounds[1:]):
-        while k < len(hit_rows) and hit_rows[k] < start:
-            k += 1
+        k = bisect_left(hit_rows, start)
         hit = k < len(hit_rows) and hit_rows[k] < end
-        stop = hit_rows[k] + 1 if hit else end
         hits.append(hit)
-        dones.append(stop - start)
-        aabb_tot.append(sum(aabb[start:stop]))
-        obb_tot.append(sum(obb[start:stop]))
-        sur_tot.append(sum(sur[start:stop]))
-        last_rows.append(stop - 1)
-    return out
+        stops.append(hit_rows[k] + 1 if hit else end)
+    return hits, stops
+
+
+def segment_sums(counts: np.ndarray, starts: List[int], stops: List[int]) -> List[List[int]]:
+    """Row sums of ``counts[:, starts[b]:stops[b]]`` per block, as lists.
+
+    ``counts`` is ``(K, R + 1)`` with a zero last column, so a block may
+    end at row ``R``; blocks are non-empty, ascending and disjoint.  One
+    ``reduceat`` covers every block (its odd slots, the gaps, are dropped).
+    """
+    cuts = [row for block in zip(starts, stops) for row in block]
+    return np.add.reduceat(counts, cuts, axis=1)[:, ::2].T.tolist()
 
 
 # ------------------------------------------------------- distance reductions

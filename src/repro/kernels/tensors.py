@@ -17,7 +17,10 @@ module defines those containers and the conversions from the object world:
   early-exit points, hence bit-identical operation counts).
 
 Everything here is precomputed once per environment / per motion check; the
-hot loop only reads.
+hot loop only reads.  That includes every SAT operand that depends on one
+fixed box only (:class:`repro.kernels.batch.BoxTerms`): the obstacles' and
+the R-tree units' are built with the environment, a body batch's once per
+call, and the whole-edge walk gathers them into its pair tests.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.geometry.aabb import AABB
+from repro.kernels.batch import BoxTerms, aabb_terms, box_terms
 from repro.geometry.obb import OBB
 from repro.spatial.rtree import RTree
 
@@ -42,6 +46,13 @@ class ObstacleTensors:
         rotations: ``(M, d, d)`` obstacle OBB rotation matrices.
         aabb_lo / aabb_hi: ``(M, d)`` corners of the derived obstacle AABBs
             (identical values to ``Environment.obstacle_aabbs``).
+
+    Derived once per environment (never per query):
+
+    * ``aabb_lo_t`` / ``aabb_hi_t``: ``(d, M)`` transposed AABB corners, the
+      fixed side of the AABB interval grid;
+    * ``terms``: the obstacle OBBs' :class:`~repro.kernels.batch.BoxTerms`;
+    * ``aabb_terms``: the obstacle AABBs' (identity-frame) box terms.
     """
 
     centers: np.ndarray
@@ -49,6 +60,20 @@ class ObstacleTensors:
     rotations: np.ndarray
     aabb_lo: np.ndarray
     aabb_hi: np.ndarray
+    aabb_lo_t: np.ndarray = field(init=False, repr=False)
+    aabb_hi_t: np.ndarray = field(init=False, repr=False)
+    terms: BoxTerms = field(init=False, repr=False)
+    aabb_terms: BoxTerms = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        derived = dict(
+            aabb_lo_t=np.ascontiguousarray(self.aabb_lo.T),
+            aabb_hi_t=np.ascontiguousarray(self.aabb_hi.T),
+            terms=box_terms(self.centers, self.half_extents, self.rotations),
+            aabb_terms=aabb_terms(self.aabb_lo, self.aabb_hi),
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def count(self) -> int:
@@ -107,8 +132,9 @@ class BodyBatch:
     rotations: np.ndarray      # (R, d, d)
     num_configs: int
     bodies_per_config: int
-    # Derived world AABBs (|R| @ e around the centre), filled lazily.
-    _aabb: List[Optional[np.ndarray]] = field(default_factory=lambda: [None, None])
+    # Per-row derived operands (world AABB corners, SAT box terms), each
+    # computed on first use.
+    _derived: dict = field(default_factory=dict)
 
     @property
     def rows(self) -> int:
@@ -125,13 +151,25 @@ class BodyBatch:
         (``world_half_i = sum_j |R[i, j]| e_j``) so corner values are
         identical to the scalar path's.
         """
-        if self._aabb[0] is None:
+        corners = self._derived.get("aabb")
+        if corners is None:
             # Stacked matmul runs the scalar path's ``|R| @ e`` kernel per
             # slice, so the corner values are bit-identical to ``to_aabb``.
             world_half = (np.abs(self.rotations) @ self.half_extents[..., None])[..., 0]
-            self._aabb[0] = self.centers - world_half
-            self._aabb[1] = self.centers + world_half
-        return self._aabb[0], self._aabb[1]
+            corners = self._derived["aabb"] = (
+                self.centers - world_half, self.centers + world_half
+            )
+        return corners
+
+    def terms(self) -> BoxTerms:
+        """Every row's SAT box terms (:func:`repro.kernels.batch.box_terms`),
+        computed once and shared by the first and second stage."""
+        terms = self._derived.get("terms")
+        if terms is None:
+            terms = self._derived["terms"] = box_terms(
+                self.centers, self.half_extents, self.rotations
+            )
+        return terms
 
     def row_obb(self, row: int) -> OBB:
         """Materialise one row back into an :class:`OBB` (diagnostics)."""
@@ -155,12 +193,17 @@ class BodyBatch:
     @staticmethod
     def from_frames(centers: np.ndarray, half_extents: np.ndarray,
                     rotations: np.ndarray) -> "BodyBatch":
-        """Build from ``(k, B, ...)`` frame tensors (batch forward kinematics)."""
+        """Build from ``(k, B, ...)`` frame tensors (batch forward kinematics).
+
+        The rows are reshaped views where the layout allows; forward
+        kinematics returns contiguous half extents and rotations, the
+        operands of the world-AABB matmul.
+        """
         k, b, d = centers.shape
         return BodyBatch(
-            centers=np.ascontiguousarray(centers.reshape(k * b, d)),
-            half_extents=np.ascontiguousarray(half_extents.reshape(k * b, d)),
-            rotations=np.ascontiguousarray(rotations.reshape(k * b, d, d)),
+            centers=centers.reshape(k * b, d),
+            half_extents=half_extents.reshape(k * b, d),
+            rotations=rotations.reshape(k * b, d, d),
             num_configs=k,
             bodies_per_config=b,
         )
@@ -174,8 +217,8 @@ class FlatRTree:
     leaf entry boxes: unit ``u < num_nodes`` is node ``u`` (root is unit 0),
     unit ``num_nodes + i`` is obstacle ``i``'s AABB.  ``unit_lo`` /
     ``unit_hi`` stack all of them so one kernel call covers every box the
-    scalar traversal could possibly test; :meth:`replay` walks the same
-    stack discipline as ``RTree.query_obb`` over precomputed masks.
+    scalar traversal could possibly test, and :meth:`batch_query_counts`
+    replays ``RTree.query_obb``'s counts over the resulting masks.
     """
 
     unit_lo: np.ndarray            # (U, d) = nodes then entry boxes
@@ -188,6 +231,15 @@ class FlatRTree:
     parents: np.ndarray            # (N,) parent node id, -1 for the root
     entry_leaf: np.ndarray         # (M,) leaf node id holding each obstacle
     entry_order: np.ndarray        # (M,) obstacle ids in full-traversal order
+    entry_rank: np.ndarray         # (M,) each obstacle's place in entry_order
+    # unit_path[:, u] = the nodes that must pass for unit u to be tested:
+    # a node's proper ancestors, an entry's leaf and its ancestors (padded
+    # by repeating one of them; the root's column is ignored).
+    unit_path: np.ndarray          # (height, U)
+    # Stage-1 operands of the fixed unit boxes, built with the tree:
+    unit_lo_t: np.ndarray          # (d, U) transposed corners (AABB grid)
+    unit_hi_t: np.ndarray          # (d, U)
+    unit_terms: BoxTerms           # identity-frame SAT terms of every unit
 
     @property
     def num_units(self) -> int:
@@ -223,98 +275,69 @@ class FlatRTree:
                 stack.extend(kids)
             else:
                 order.extend(entries[node])
+        entry_rank = np.empty(num_entries, dtype=np.intp)
+        entry_rank[order] = np.arange(num_entries)
+
+        def ancestors(node: int) -> List[int]:
+            path = []
+            while parents[node] >= 0:
+                node = int(parents[node])
+                path.append(node)
+            return path
+
+        paths = [ancestors(node) or [0] for node in range(num_nodes)]
+        paths += [[int(leaf)] + ancestors(int(leaf)) for leaf in entry_leaf]
+        height = max((len(path) for path in paths), default=1)
+        unit_path = np.array(
+            [path + path[:1] * (height - len(path)) for path in paths],
+            dtype=np.intp,
+        ).T.reshape(height, len(paths))
+        unit_lo = np.asarray(lo_rows, dtype=float)
+        unit_hi = np.asarray(hi_rows, dtype=float)
         return FlatRTree(
-            unit_lo=np.asarray(lo_rows, dtype=float),
-            unit_hi=np.asarray(hi_rows, dtype=float),
+            unit_lo=unit_lo,
+            unit_hi=unit_hi,
             children=tuple(tuple(c) for c in children),
             entries=tuple(tuple(e) for e in entries),
             num_nodes=num_nodes,
             parents=parents,
             entry_leaf=entry_leaf,
             entry_order=np.asarray(order, dtype=np.intp),
+            entry_rank=entry_rank,
+            unit_path=unit_path,
+            unit_lo_t=np.ascontiguousarray(unit_lo.T),
+            unit_hi_t=np.ascontiguousarray(unit_hi.T),
+            unit_terms=aabb_terms(unit_lo, unit_hi),
         )
 
-    def batch_query_counts(self, node_aabb: np.ndarray, node_obb: np.ndarray,
-                           entry_aabb: np.ndarray, entry_obb: np.ndarray):
+    def batch_query_counts(self, aabb_mask: np.ndarray, passed: np.ndarray):
         """Traversal statistics for a whole batch of queries at once.
 
         Args:
-            node_aabb / node_obb: ``(R, N)`` stage-1 masks of every query row
-                against every node MBR (AABB-AABB prefilter, AABB-OBB SAT).
-            entry_aabb / entry_obb: ``(R, M)`` same masks against the leaf
-                entry boxes, indexed by obstacle id.
+            aabb_mask: ``(R, U)`` AABB-AABB prefilter results of every query
+                row against every unit.
+            passed: ``(R, U)`` units passing both stage-1 tests: the
+                AABB-OBB SAT result where ``aabb_mask`` holds, False
+                elsewhere (the scalar short-circuit).
 
-        Returns ``(n_aabb, n_obb, candidates)``: per-row counts of the
-        AABB-AABB and AABB-OBB tests a scalar ``query_obb`` traversal would
-        perform, and the ``(R, M)`` candidate mask (entries reaching the
-        second stage).  A node is visited iff its parent is visited and
-        passes both masks (the export is breadth-first, so parents precede
-        children in index order); an entry is considered iff its leaf is
-        visited and passes.
+        Returns ``(counts, candidates)``.  ``counts`` is ``(3, R + 1)``
+        int64: per row, the AABB-AABB tests, the AABB-OBB tests and the
+        surviving candidates of a scalar ``query_obb`` traversal, with a
+        zero last column (the form
+        :func:`~repro.kernels.batch.segment_sums` reads).  ``candidates``
+        is the ``(R, M)`` mask of entries reaching the second stage.  A
+        unit is tested iff every node on its :attr:`unit_path` passes, so
+        the replay is one gather per tree level.
         """
-        rows = node_aabb.shape[0]
-        visited = np.empty((rows, self.num_nodes), dtype=bool)
-        visited[:, 0] = True
-        node_pass = node_aabb & node_obb
-        for node in range(1, self.num_nodes):
-            parent = self.parents[node]
-            visited[:, node] = visited[:, parent] & node_pass[:, parent]
-        considered = visited[:, self.entry_leaf] & node_pass[:, self.entry_leaf]
-        considered_aabb = considered & entry_aabb
-        candidates = considered_aabb & entry_obb
-        n_aabb = visited.sum(axis=1) + considered.sum(axis=1)
-        n_obb = (visited & node_aabb).sum(axis=1) + considered_aabb.sum(axis=1)
-        return n_aabb, n_obb, candidates
-
-    def replay(self, passes, counter=None, dim: Optional[int] = None,
-               count_aabb_aabb: bool = True) -> List[int]:
-        """Re-run ``RTree.query_obb``'s traversal over a precomputed mask.
-
-        Args:
-            passes: callable ``passes(unit) -> (aabb_ok, obb_ok)`` reading
-                the batch masks; ``obb_ok`` is only consulted when
-                ``aabb_ok`` is True (mirroring the scalar short-circuit).
-            counter: operation counter; receives exactly the events the
-                scalar traversal would record, in aggregate form.
-            dim: workspace dimension for the counter records.
-            count_aabb_aabb: False when the caller had no prefilter AABB
-                (the scalar path then skips the interval test).
-
-        Returns the obstacle indices in the scalar traversal's hit order.
-        """
-        if self.num_nodes == 0:
-            return []
-        hits: List[int] = []
-        n_aabb = 0
-        n_obb = 0
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            aabb_ok, obb_ok = passes(node)
-            if count_aabb_aabb:
-                n_aabb += 1
-            if not aabb_ok:
-                continue
-            n_obb += 1
-            if not obb_ok:
-                continue
-            kids = self.children[node]
-            if kids:
-                stack.extend(kids)
-            else:
-                for idx in self.entries[node]:
-                    unit = self.num_nodes + idx
-                    e_aabb, e_obb = passes(unit)
-                    if count_aabb_aabb:
-                        n_aabb += 1
-                    if not e_aabb:
-                        continue
-                    n_obb += 1
-                    if e_obb:
-                        hits.append(idx)
-        if counter is not None:
-            if count_aabb_aabb and n_aabb:
-                counter.record("sat_aabb_aabb", dim=dim, n=n_aabb)
-            if n_obb:
-                counter.record("sat_aabb_obb", dim=dim, n=n_obb)
-        return hits
+        rows, n = len(aabb_mask), self.num_nodes
+        # flags[k, r, u]: unit u adds to row r's count k.
+        flags = np.zeros((3, rows + 1, aabb_mask.shape[1]), dtype=bool)
+        tested = flags[0, :rows]
+        tested[...] = passed.take(self.unit_path[0], axis=1)
+        for level in self.unit_path[1:]:
+            tested &= passed.take(level, axis=1)
+        tested[:, 0] = True
+        np.logical_and(tested, aabb_mask, out=flags[1, :rows])
+        np.logical_and(tested, passed, out=flags[2, :rows])
+        flags[2, :, :n] = False        # nodes pass on; only entries survive
+        return np.add.reduce(flags, axis=2), flags[2, :rows, n:]

@@ -89,8 +89,10 @@ class SIMBRTree:
     def __init__(self, dim: int, capacity: int = 8):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if capacity < 2:
-            raise ValueError("capacity must be >= 2")
+        if capacity < 3:
+            # Splitting an internal node of capacity + 1 = 3 children
+            # would leave one half with a single child.
+            raise ValueError("capacity must be >= 3")
         self.dim = dim
         self.capacity = capacity
         self._root: Optional[_Node] = None

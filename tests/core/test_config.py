@@ -27,6 +27,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             PlannerConfig(speculation_depth=-1)
 
+    def test_rejects_simbr_capacity_below_three(self):
+        with pytest.raises(ValueError, match="simbr_capacity"):
+            PlannerConfig(simbr_capacity=2)
+        PlannerConfig(simbr_capacity=3)
+
 
 class TestResolution:
     def test_step_defaults_to_robot(self):

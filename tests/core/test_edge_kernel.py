@@ -20,7 +20,7 @@ from repro.core.counters import OpCounter
 from repro.core.robots import get_robot
 from repro.core.rrtstar import plan
 from repro.geometry.motion import interpolate_configs, interpolate_edges
-from repro.kernels import batch as kernels_batch
+from repro.kernels import batch as kernels_batch, reference as kernels_reference
 from repro.kernels.tensors import BodyBatch
 from repro.workloads.generator import random_task
 
@@ -128,8 +128,67 @@ class TestWavePlannerBitIdentity:
         assert scalar.counter.to_dict() == wave.counter.to_dict()
 
 
-class TestBroadphaseMaskEquality:
-    """The AABB broadphase must reproduce the full grids bit-for-bit."""
+class TestGatheredKernels:
+    """The gathered-term SAT tests the planner runs must reproduce the
+    scalar reference kernels bit-for-bit on every pair."""
+
+    @pytest.mark.parametrize("robot_name", ["mobile2d", "rozum"])
+    def test_gathered_tests_equal_reference(self, robot_name):
+        robot = get_robot(robot_name)
+        env = random_task(robot_name, 12, seed=3).environment
+        rng = np.random.default_rng(4)
+        configs = rng.uniform(robot.config_lo, robot.config_hi, size=(60, robot.dof))
+        bodies = BodyBatch.from_frames(*robot.body_frames_batch(configs))
+        obs, ftree = env.obstacle_tensors, env.flat_rtree
+        rows = np.repeat(np.arange(bodies.rows), obs.count)
+        cols = np.tile(np.arange(obs.count), bodies.rows)
+        exact = kernels_batch.obb_obb_gathered(bodies.terms(), rows, obs.terms, cols)
+        assert np.array_equal(exact, kernels_reference.obb_obb_pairs(
+            bodies.centers[rows], bodies.half_extents[rows], bodies.rotations[rows],
+            obs.centers[cols], obs.half_extents[cols], obs.rotations[cols],
+        ))
+        units = np.tile(np.arange(ftree.num_units), bodies.rows)
+        unit_rows = np.repeat(np.arange(bodies.rows), ftree.num_units)
+        stage1 = kernels_batch.aabb_obb_gathered(
+            ftree.unit_terms, units, bodies.terms(), unit_rows
+        )
+        assert np.array_equal(stage1, kernels_reference.aabb_obb_pairs(
+            ftree.unit_lo[units], ftree.unit_hi[units], bodies.centers[unit_rows],
+            bodies.half_extents[unit_rows], bodies.rotations[unit_rows],
+        ))
+        assert exact.any() and not exact.all()
+        assert stage1.any() and not stage1.all()
+
+    def test_overlap_filtered_runs_the_test_on_overlaps_only(self):
+        bodies, _ = self._bodies()
+        lo, hi = bodies.aabb_corners()
+        obs = ENV.obstacle_tensors
+        seen = []
+
+        def pair_test(rows, cols):
+            seen.append((rows, cols))
+            return kernels_batch.obb_obb_gathered(bodies.terms(), rows, obs.terms, cols)
+
+        overlap, verdicts = kernels_batch.overlap_filtered(
+            lo, hi, obs.aabb_lo_t, obs.aabb_hi_t, pair_test
+        )
+        assert np.array_equal(overlap, kernels_batch.aabb_aabb_grid(
+            lo, hi, obs.aabb_lo, obs.aabb_hi))
+        (rows, cols), = seen
+        assert np.array_equal(np.stack([rows, cols]), np.stack(overlap.nonzero()))
+        assert np.array_equal(verdicts, kernels_batch.obb_obb_grid(
+            bodies.centers, bodies.half_extents, bodies.rotations,
+            obs.centers, obs.half_extents, obs.rotations,
+        ))
+
+    def test_aabb_grid_t_equals_grid(self):
+        bodies, _ = self._bodies()
+        lo, hi = bodies.aabb_corners()
+        ftree = ENV.flat_rtree
+        assert np.array_equal(
+            kernels_batch.aabb_aabb_grid_t(lo, hi, ftree.unit_lo_t, ftree.unit_hi_t),
+            kernels_batch.aabb_aabb_grid(lo, hi, ftree.unit_lo, ftree.unit_hi),
+        )
 
     def _bodies(self, seed=0, edges=6):
         rng = np.random.default_rng(seed)
@@ -140,66 +199,6 @@ class TestBroadphaseMaskEquality:
             lo, hi,
         )
         configs, offsets = interpolate_edges(starts, ends, RESOLUTION)
-        bodies = BodyBatch.from_frames(*ROBOT.body_frames_batch(configs))
-        bpc = bodies.rows // int(offsets[-1])
-        return bodies, np.asarray(offsets, dtype=np.intp) * bpc
+        return BodyBatch.from_frames(*ROBOT.body_frames_batch(configs)), offsets
 
-    def test_edge_obb_obb_grid_equals_full_grid(self):
-        obs = ENV.obstacle_tensors
-        bodies, row_offsets = self._bodies()
-        lo, hi = bodies.aabb_corners()
-        hits, visited = kernels_batch.edge_obb_obb_grid(
-            bodies.centers, bodies.half_extents, bodies.rotations, lo, hi,
-            obs.centers, obs.half_extents, obs.rotations,
-            obs.aabb_lo, obs.aabb_hi, row_offsets,
-        )
-        full = kernels_batch.obb_obb_grid(
-            bodies.centers, bodies.half_extents, bodies.rotations,
-            obs.centers, obs.half_extents, obs.rotations,
-        )
-        ref_hits, ref_visited = kernels_batch.segment_first_hit(
-            full, row_offsets * full.shape[1]
-        )
-        assert np.array_equal(hits, ref_hits)
-        assert np.array_equal(visited, ref_visited)
 
-    def test_edge_aabb_obb_grid_equals_full_grid(self):
-        obs = ENV.obstacle_tensors
-        bodies, row_offsets = self._bodies(seed=1)
-        lo, hi = bodies.aabb_corners()
-        hits, visited = kernels_batch.edge_aabb_obb_grid(
-            obs.aabb_lo, obs.aabb_hi,
-            bodies.centers, bodies.half_extents, bodies.rotations,
-            lo, hi, row_offsets,
-        )
-        full = kernels_batch.aabb_obb_grid(
-            obs.aabb_lo, obs.aabb_hi,
-            bodies.centers, bodies.half_extents, bodies.rotations,
-        )
-        ref_hits, ref_visited = kernels_batch.segment_first_hit(
-            full, row_offsets * full.shape[1]
-        )
-        assert np.array_equal(hits, ref_hits)
-        assert np.array_equal(visited, ref_visited)
-
-    def test_masked_aabb_obb_grid_matches_under_prefilter(self):
-        """Wherever the prefilter passes, the masked grid equals the full
-        grid; everywhere else it is False — exactly what the two-stage
-        funnel consumes (always conjoined with the AABB mask)."""
-        ftree = ENV.flat_rtree
-        bodies, _ = self._bodies(seed=2)
-        lo, hi = bodies.aabb_corners()
-        prefilter = kernels_batch.aabb_aabb_grid(
-            lo, hi, ftree.unit_lo, ftree.unit_hi
-        )
-        masked = kernels_batch.masked_aabb_obb_grid(
-            ftree.unit_lo, ftree.unit_hi,
-            bodies.centers, bodies.half_extents, bodies.rotations,
-            prefilter,
-        )
-        full = kernels_batch.aabb_obb_grid(
-            ftree.unit_lo, ftree.unit_hi,
-            bodies.centers, bodies.half_extents, bodies.rotations,
-        )
-        assert np.array_equal(masked & prefilter, full & prefilter)
-        assert not (masked & ~prefilter).any()

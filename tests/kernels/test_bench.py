@@ -358,8 +358,8 @@ def gated_keys():
         },
         "wave": {(label, bench.WAVE_WIDTH, bench.WAVE_SAMPLES)
                  for label, *_ in bench.WAVE_SUITE},
-        "edge": {(label, bench.WAVE_WIDTH, bench.EDGE_COUNT)
-                 for label, *_ in bench.EDGE_SUITE},
+        "edge": {(label, width, bench.EDGE_COUNT)
+                 for label, *_, width in bench.EDGE_SUITE},
         "connect": {(label, bench.WAVE_WIDTH, bench.CONNECT_SAMPLES)
                     for label, *_ in bench.CONNECT_SUITE},
     }

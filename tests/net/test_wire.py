@@ -106,6 +106,16 @@ class TestRequestWire(unittest.TestCase):
         with self.assertRaises(InvalidRequest):
             request_from_wire(_json_round_trip(full))
 
+    def test_simbr_capacity_below_three_is_invalid(self):
+        # A capacity-2 SI-MBR tree builds invalid nodes, so the full form
+        # carrying it is a 400, not a plan over a broken index.
+        full = request_to_wire(spec_to_request(dict(SPEC)))
+        full["config"]["simbr_capacity"] = 2
+        with self.assertRaises(InvalidRequest):
+            request_from_wire(_json_round_trip(full))
+        full["config"]["simbr_capacity"] = 3
+        request_from_wire(_json_round_trip(full)).validate()
+
     def test_removed_cache_knob_is_invalid(self):
         # Planner result-cache knobs no longer exist; a client still sending
         # one gets a 400, not a 5xx.

@@ -65,6 +65,17 @@ class TestInsertBasics:
         with pytest.raises(ValueError):
             SIMBRTree(dim=2, capacity=1)
 
+    def test_capacity_two_is_rejected(self):
+        # With capacity 2 a split of 3 children leaves a one-child internal
+        # node: 4 random inserts at dim 2 (seed 0) used to fail validate().
+        with pytest.raises(ValueError, match="capacity must be >= 3"):
+            SIMBRTree(dim=2, capacity=2)
+        tree = SIMBRTree(dim=2, capacity=3)
+        rng = np.random.default_rng(0)
+        for key in range(40):
+            tree.insert(key, rng.uniform(-1.0, 1.0, size=2))
+            tree.validate()
+
     def test_sibling_of_unknown_key(self):
         tree = SIMBRTree(dim=2)
         tree.insert(0, np.zeros(2))
