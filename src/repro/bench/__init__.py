@@ -320,6 +320,84 @@ def _plans_equal(a, b) -> Optional[str]:
     return None
 
 
+#: The wave section's count gate: kernel calls in one wave's speculation,
+#: and SI-MBR heap walks per committed wave sample.
+WAVE_MAX_KERNEL_CALLS = 1
+WAVE_MAX_WALK_SHARE = 0.1
+
+
+def _wave_work(planner: RRTStarPlanner) -> Dict:
+    """Run ``planner`` once, counting its deterministic wave work.
+
+    Counts every ``motion_results_batch`` call and the edges it checks,
+    the most calls one wave's speculation made, and the SI-MBR heap walks
+    (searches the wave's distance matrix did not answer).  Returns the
+    counts and the plan result (``"result"``).
+    """
+    checker = planner.checker
+    batch_call = checker.motion_results_batch
+    speculate = planner._speculate
+    work = {"kernel_calls": 0, "edges": 0, "waves": 0,
+            "kernel_calls_per_wave": 0, "walks": 0}
+    in_wave = [None]
+
+    def counted_batch(starts, ends):
+        work["kernel_calls"] += 1
+        work["edges"] += len(starts)
+        if in_wave[0] is not None:
+            in_wave[0] += 1
+        return batch_call(starts, ends)
+
+    def counted_speculate(*args):
+        in_wave[0] = 0
+        try:
+            return speculate(*args)
+        finally:
+            work["waves"] += 1
+            work["kernel_calls_per_wave"] = max(work["kernel_calls_per_wave"],
+                                                in_wave[0])
+            in_wave[0] = None
+
+    checker.motion_results_batch = counted_batch
+    planner._speculate = counted_speculate
+    tree = getattr(planner.strategy, "tree", None)
+    if tree is not None:
+        walk = tree.nearest
+
+        def counted_walk(*args, **kwargs):
+            work["walks"] += 1
+            return walk(*args, **kwargs)
+
+        tree.nearest = counted_walk
+    result = planner.plan()
+    work["wave_samples"] = sum(1 for r in result.rounds if r.wave_width > 1)
+    work["result"] = result
+    return work
+
+
+def check_wave_work(entry: Dict) -> List[str]:
+    """Gate messages for a :func:`bench_wave` row's work counts (empty =
+    pass).  Counts do not vary with the host, so this gate cannot flake.
+    Rows recorded before the counts existed (older committed baselines)
+    carry none and are gated on time alone."""
+    if "kernel_calls_per_wave" not in entry:
+        return []
+    failures = []
+    label = f"wave {entry['case']} W={entry['wave_width']}"
+    if entry["kernel_calls_per_wave"] > WAVE_MAX_KERNEL_CALLS:
+        failures.append(
+            f"{label}: {entry['kernel_calls_per_wave']} kernel calls in one "
+            f"wave (> {WAVE_MAX_KERNEL_CALLS})"
+        )
+    if entry["walks"] > WAVE_MAX_WALK_SHARE * entry["wave_samples"]:
+        failures.append(
+            f"{label}: {entry['walks']} SI-MBR walks for "
+            f"{entry['wave_samples']} wave samples "
+            f"(> {WAVE_MAX_WALK_SHARE:.0%})"
+        )
+    return failures
+
+
 def bench_wave(quick: bool = False, seed: int = 3) -> List[Dict]:
     """Time multi-sample waves against one-sample waves.
 
@@ -329,10 +407,11 @@ def bench_wave(quick: bool = False, seed: int = 3) -> List[Dict]:
     is checked directly), and waves of ``WAVE_WIDTH`` samples.  The wide
     run is asserted bit-identical to the one-sample speculative run —
     paths, costs, operation counters, and per-round phase loads — before
-    any time is reported.  Timings
-    interleave the three configurations across repetitions and report
-    medians, which suppresses machine drift better than best-of-N here
-    (whole planner runs are long enough to be preempted).
+    any time is reported; that wide run also records the wave's work
+    counts (:func:`_wave_work`), which :func:`check_wave_work` gates.
+    Timings interleave the three configurations across repetitions and
+    report medians, which suppresses machine drift better than best-of-N
+    here (whole planner runs are long enough to be preempted).
     """
     suite = WAVE_SUITE[:WAVE_QUICK_CASES] if quick else WAVE_SUITE
     reps = 3 if quick else 5
@@ -341,12 +420,15 @@ def bench_wave(quick: bool = False, seed: int = 3) -> List[Dict]:
         task = random_task(robot_name, num_obstacles, seed=seed)
         robot = get_robot(robot_name)
 
-        def run(width: int, depth: int):
+        def planner_for(width: int, depth: int) -> RRTStarPlanner:
             config = moped_config(
                 variant, max_samples=WAVE_SAMPLES, seed=5,
                 wave_width=width, speculation_depth=depth, **overrides
             )
-            planner = RRTStarPlanner(robot, task, config)
+            return RRTStarPlanner(robot, task, config)
+
+        def run(width: int, depth: int):
+            planner = planner_for(width, depth)
             t0 = time.perf_counter()
             result = planner.plan()
             return time.perf_counter() - t0, result
@@ -355,7 +437,8 @@ def bench_wave(quick: bool = False, seed: int = 3) -> List[Dict]:
         # meaningless.  This is also the bench's speculation_depth > 0
         # coverage: one-sample waves at depth W run here every time.
         _, spec_result = run(1, WAVE_WIDTH)
-        _, wave_result = run(WAVE_WIDTH, 0)
+        work = _wave_work(planner_for(WAVE_WIDTH, 0))
+        wave_result = work.pop("result")
         reason = _plans_equal(wave_result, spec_result)
         if reason is not None:
             raise AssertionError(
@@ -391,6 +474,7 @@ def bench_wave(quick: bool = False, seed: int = 3) -> List[Dict]:
                 "path_cost": wave_result.path_cost,
                 "num_nodes": wave_result.num_nodes,
                 "equivalent": True,
+                **work,
             }
         )
     return records
@@ -797,9 +881,10 @@ class Section:
     its ``key`` fields, and ``time`` is its primary timing.  The gate is
     ``factor`` (fail when ``time`` exceeds ``factor`` times the fastest
     baseline entry with the same key; the message names the entry by
-    ``label`` with ``digits`` decimals) or ``check`` (an in-run verdict
-    that needs no baseline).  ``line`` prints an entry; ``row`` is the
-    ``section`` attribute of its drill-down rows (``None``: no rows).
+    ``label`` with ``digits`` decimals), ``check`` (an in-run verdict
+    that needs no baseline), or both.  ``line`` prints an entry; ``row``
+    is the ``section`` attribute of its drill-down rows (``None``: no
+    rows).
     """
 
     name: str
@@ -858,10 +943,14 @@ SECTIONS = (
             f"wave   {e['case']:22s} W={e['wave_width']:<3d} "
             f"scalar={e['scalar_s']:.3f}s wave={e['wave_s']:.3f}s  "
             f"speedup={e['speedup_vs_scalar']:.2f}x  "
-            f"occ={e['wave_occupancy']:.2f}  (bit-identical: {e['equivalent']})"
+            f"occ={e['wave_occupancy']:.2f}  "
+            f"calls/wave={e['kernel_calls_per_wave']} "
+            f"walks={e['walks']}/{e['wave_samples']}  "
+            f"(bit-identical: {e['equivalent']})"
         ),
         key=("case", "wave_width", "max_samples"), time="wave_s",
-        factor=REGRESSION_FACTOR, label="wave {case} W={wave_width}", row="wave",
+        factor=REGRESSION_FACTOR, label="wave {case} W={wave_width}",
+        check=check_wave_work, row="wave",
     ),
     Section(
         "edge", bench_edge,

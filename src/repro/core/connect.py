@@ -125,6 +125,10 @@ class RRTConnectPlanner(_SamplingPlanner):
         trees = self.trees
         injector = self._injector
         width_cfg = config.wave_width
+
+        def draw(sub):
+            return self.sampler.sample(counter=sub)
+
         start = 0
         while start < config.max_samples:
             if width_cfg == 1 and state.armed and state.budget_expired(counter):
@@ -134,21 +138,19 @@ class RRTConnectPlanner(_SamplingPlanner):
             width = min(width_cfg, config.max_samples - start)
             subs = [OpCounter() for _ in range(width)]
             xs = np.empty((width, self.robot.dof), dtype=float)
-            for j in range(width):
-                with obs.phase("sample", subs[j]):
-                    xs[j] = self.sampler.sample(counter=subs[j])
+            draws = self._draw(draw, xs, subs)
             spec = self._speculate(xs, width, start, obs) if width > 1 else None
 
+            bridge = None
             for j in range(width):
                 sub = subs[j]
                 if (width_cfg > 1 and state.armed
                         and state.budget_expired(counter, sub)):
                     counter.merge(sub)
-                    return None
+                    break
                 active = (start + j) % 2
                 new_id = self._commit_extend(active, xs[j], sub, obs, spec, j)
                 accepted = new_id is not None
-                bridge = None
                 if accepted:
                     target = trees[active].point(new_id)
                     other, reached = self._connect(
@@ -160,10 +162,11 @@ class RRTConnectPlanner(_SamplingPlanner):
                     self._round_record(sub, accepted, wave_width=width)
                 )
                 counter.merge(sub)
-                if bridge is not None:
-                    return bridge
-                if state.degraded_reason is not None:
-                    return None
+                if bridge is not None or state.degraded_reason is not None:
+                    break
+            self._charge_draws(obs, draws, j + 1)
+            if bridge is not None or state.degraded_reason is not None:
+                return bridge
             start += width
         return None
 

@@ -98,7 +98,7 @@ class InformedSampler:
         radii[0] = r1
         for _ in range(self.max_rejections):
             point = self.center + self.rotation @ (radii * self._unit_ball())
-            if np.all(point >= self.lo) and np.all(point <= self.hi):
+            if (point >= self.lo).all() and (point <= self.hi).all():
                 self.informed_draws += 1
                 return point
         self.informed_draws += 1

@@ -37,14 +37,24 @@ def _count_query(kind: str, strategy: str) -> None:
          help="Neighbor-search queries by kind and index strategy")
 
 
+def wave_nearest(d_sq: np.ndarray, visible: np.ndarray) -> Tuple[List[int], List[bool]]:
+    """Each row's nearest visible column, and whether no other ties it.
+
+    ``d_sq`` is a wave's ``(W, n)`` squared-distance matrix and ``visible``
+    a same-shape mask.  Returns per row the first column of its minimum
+    over the visible entries, and whether that minimum is unique: only a
+    unique minimum is the answer of every exact search, whatever order
+    the search meets ties in.
+    """
+    masked = np.where(visible, d_sq, np.inf)
+    keys = masked.argmin(axis=1)
+    best = masked[np.arange(len(masked)), keys]
+    unique = np.count_nonzero(masked == best[:, None], axis=1) == 1
+    return keys.tolist(), unique.tolist()
+
+
 class NeighborStrategy:
     """Interface shared by all neighbor-search strategies."""
-
-    #: True when ``nearest`` is a flat linear scan over insertion-ordered
-    #: points — the wavefront planner can then evaluate a whole wave's
-    #: nearest lookups as one batched distance matrix and charge the exact
-    #: per-query costs via :meth:`count_nearest`.
-    linear_scan = False
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -62,6 +72,28 @@ class NeighborStrategy:
     def nearest(self, query: np.ndarray, counter=None, exclude=None):
         """Exact nearest neighbor: ``(key, point, distance)`` or None."""
         raise NotImplementedError
+
+    def wave_sq_distances(self, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        """Squared distances ``(len(queries), len(points))`` from each query
+        to each point, in the arithmetic of this strategy's :meth:`nearest`.
+
+        The wavefront planner builds its snapshot matrix here, so a row's
+        minimum over the visible points is bitwise the distance the search
+        would find.  Trees compare ``((points - query) ** 2).sum(axis=1)``
+        per leaf, and each row is that expression.
+        """
+        return np.stack([((points - query) ** 2).sum(axis=1) for query in queries])
+
+    def count_nearest(self, query: np.ndarray, key: Hashable, best_sq: float,
+                      counter=None, exclude=None) -> bool:
+        """Record what :meth:`nearest` would, when its answer is known.
+
+        ``key`` is the unique visible point nearest to ``query``, at squared
+        distance ``best_sq`` from :meth:`wave_sq_distances`.  Returns True
+        when the search's counts and query metric were recorded, False when
+        the strategy cannot replay them and the caller must search.
+        """
+        return False
 
     def neighborhood(
         self,
@@ -84,8 +116,6 @@ class NeighborStrategy:
 class BruteStrategy(NeighborStrategy):
     """Linear scans over all tree nodes (the vanilla RRT\\* cost profile)."""
 
-    linear_scan = True
-
     def __init__(self, dim: int):
         self._index = BruteForceIndex(dim)
 
@@ -99,17 +129,17 @@ class BruteStrategy(NeighborStrategy):
         _count_query("nearest", "brute")
         return self._index.nearest(query, counter=counter, exclude=exclude)
 
-    def count_nearest(self, counter=None) -> None:
-        """Record the cost of one nearest query answered from a wave batch.
+    def wave_sq_distances(self, points, queries):
+        # BruteForceIndex's arithmetic: one einsum over the stacked points.
+        diffs = points[None, :, :] - queries[:, None, :]
+        return np.einsum("wnd,wnd->wn", diffs, diffs)
 
-        The scalar :meth:`nearest` records one ``dist`` event per stored
-        point (before exclusion) and one query metric; the wavefront planner
-        answers the query from a precomputed distance matrix and calls this
-        to charge the identical cost.
-        """
+    def count_nearest(self, query, key, best_sq, counter=None, exclude=None) -> bool:
+        # The scan records one ``dist`` per stored point, before exclusion.
         _count_query("nearest", "brute")
         if counter is not None and len(self._index):
             counter.record("dist", dim=self._index.dim, n=len(self._index))
+        return True
 
     def neighborhood(self, query, radius, nearest_key=None, counter=None):
         _count_query("neighborhood", "brute")
@@ -196,6 +226,13 @@ class SIMBRStrategy(NeighborStrategy):
     def nearest(self, query, counter=None, exclude=None):
         _count_query("nearest", "simbr")
         return self._tree.nearest(query, counter=counter, exclude=exclude)
+
+    def count_nearest(self, query, key, best_sq, counter=None, exclude=None) -> bool:
+        if not self._tree.count_nearest(query, key, best_sq, counter=counter,
+                                        exclude=exclude):
+            return False
+        _count_query("nearest", "simbr")
+        return True
 
     def neighborhood(self, query, radius, nearest_key=None, counter=None):
         if not self.approx_neighborhood or nearest_key is None:

@@ -20,13 +20,15 @@ There is one run loop, and it works in waves of ``wave_width`` samples.
 A wave of ``W > 1`` samples turns the functional model into a throughput
 mechanism at depth ``W``: it evaluates the nearest-neighbor distance
 matrix, speculative steering, and the collision check of every
-speculative edge as single batched kernel calls against a snapshot of the
-tree, then commits the samples *in order* — a sample whose speculative
-result is invalidated by an intra-wave accept is repaired exactly like a
-pending-node miss.  Every counter event of the sequential round is
-replayed at commit time (batched arithmetic feeds verdicts, not counts),
-so paths, costs, and OpCounter totals are bit-identical to one-sample
-waves at ``speculation_depth = W``.  A one-sample wave has nothing to
+speculative edge against a snapshot of the tree, with one batched kernel
+call per wave, then commits the samples *in order* — a sample whose
+speculative result is invalidated by an intra-wave accept is repaired
+exactly like a pending-node miss.  The matrix row answers the commit's
+nearest-neighbor search, whose counts the strategy replays.  Every
+counter event of the sequential round is replayed at commit time
+(batched arithmetic feeds verdicts, not counts), so paths, costs, and
+OpCounter totals are bit-identical to one-sample waves at
+``speculation_depth = W``.  A one-sample wave has nothing to
 batch: its commit checks each edge directly, and that direct path is the
 reference the speculative one is tested against.
 
@@ -34,7 +36,7 @@ The wave's choose-parent and rewire edges are batched the same way
 (mask-then-replay).  Edge verdicts do not depend on tree state; only which
 edges the sequential extend checks does.  So once the speculation has
 fixed each likely accept's ``x_new``, a cost-pruned superset of its
-neighborhood edges rides along in the wave's second collision call, and
+neighborhood edges rides along in the wave's one collision call, and
 ``_extend`` replays each verdict it actually needs from a per-wave map.
 Edges it never asks for are charged nothing; an edge the map lacks is
 checked singly, so a misprediction costs time, never correctness.
@@ -42,6 +44,7 @@ checked singly, so a misprediction costs time, never correctness.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from typing import Deque, List, Optional, Tuple
@@ -54,7 +57,7 @@ from repro.core.counters import OpCounter
 from repro.obs import PhaseRecorder, bump, get_registry, get_tracer
 from repro.core.informed import InformedSampler
 from repro.core.metrics import PlanResult, RoundRecord
-from repro.core.neighbors import make_strategy
+from repro.core.neighbors import make_strategy, wave_nearest
 from repro.core.rng import LFSRSampler, NumpySampler
 from repro.core.robots import RobotModel
 from repro.core.tree import ExpTree
@@ -197,6 +200,33 @@ class _SamplingPlanner:
         if dist <= self.step:
             return target.copy()
         return origin + (self.step / dist) * (target - origin)
+
+    @staticmethod
+    def _draw(draw, xs, subs) -> List[Tuple[float, float]]:
+        """Draw a wave's samples: ``xs[j] = draw(subs[j])``.
+
+        Returns each draw's ``(seconds, macs)`` for :meth:`_charge_draws`;
+        which phase a draw belongs to is known only once the wave ends.
+        """
+        cost = []
+        for j, sub in enumerate(subs):
+            began = time.perf_counter()
+            xs[j] = draw(sub)
+            cost.append((time.perf_counter() - began, sub.total_macs()))
+        return cost
+
+    @staticmethod
+    def _charge_draws(obs: PhaseRecorder, cost, used: int) -> None:
+        """Time the draws of a wave's first ``used`` samples (the ones
+        whose sub-counters reached the run counter) as ``sample`` calls.
+        The rest were drawn for commits the run never made (a bridge or
+        goal stop mid-wave), so their seconds go to ``speculate``, with no
+        call: ``sample`` calls then equal the run's ``sample`` events."""
+        for seconds, macs in cost[:used]:
+            obs.add("sample", seconds, macs=macs)
+        if used < len(cost):
+            obs.add("speculate", sum(seconds for seconds, _ in cost[used:]),
+                    calls=0)
 
     def _replay_motion(self, result, counter) -> bool:
         """Commit a speculatively validated edge from its stored result.
@@ -367,8 +397,11 @@ class RRTStarPlanner(_SamplingPlanner):
         width_cfg = config.wave_width
         depth = width_cfg if width_cfg > 1 else config.speculation_depth
         pending = state.pending
-        linear = getattr(self.strategy, "linear_scan", False)
         injector = self._injector
+
+        def draw(sub):
+            return self.sampler.sample_biased(task.goal, config.goal_bias, counter=sub)
+
         start = 0
         while start < config.max_samples:
             if state.armed and state.budget_expired(counter):
@@ -378,16 +411,11 @@ class RRTStarPlanner(_SamplingPlanner):
             width = min(width_cfg, config.max_samples - start)
             subs = [OpCounter() for _ in range(width)]
             xs = np.empty((width, dim), dtype=float)
-            for j in range(width):
-                with obs.phase("sample", subs[j]):
-                    xs[j] = self.sampler.sample_biased(
-                        task.goal, config.goal_bias, counter=subs[j]
-                    )
+            draws = self._draw(draw, xs, subs)
             spec = (self._speculate(tree, xs, start, depth, pending, obs)
                     if width > 1 else None)
             verdicts = spec["verdicts"] if spec is not None else None
 
-            stop = False
             for j in range(width):
                 iteration = start + j
                 sub = subs[j]
@@ -397,13 +425,13 @@ class RRTStarPlanner(_SamplingPlanner):
                         tree, x_rand, pending, sub, obs
                     )
                 else:
-                    # A linear scan's visible set equals the speculative
-                    # prefix (intra-wave accepts are all still pending), so
-                    # the matrix row IS the exact sequential scan result.
+                    # Intra-wave accepts are all still pending, so the
+                    # visible set is the snapshot prefix the matrix row
+                    # searched: its unique minimum is the search's answer.
                     nearest = self._nearest_with_repair(
                         tree, x_rand, pending, sub, obs,
                         d_sq_row=spec["d_sq"][j], snapshot_len=spec["n0"],
-                        scan_key=spec["base_key"][j] if linear else None,
+                        known_key=spec["known_key"][j],
                     )
                 nearest_key, nearest_point, nearest_dist, missing_used, repaired = nearest
 
@@ -455,12 +483,12 @@ class RRTStarPlanner(_SamplingPlanner):
                 counter.merge(sub)
 
                 if config.stop_on_goal and state.first_solution is not None:
-                    stop = True
                     break
+            self._charge_draws(obs, draws, j + 1)
             if verdicts:
                 bump("repro_cc_extend_edges_total", len(verdicts),
                      outcome="unused", help=_EXTEND_EDGES_HELP)
-            if stop:
+            if config.stop_on_goal and state.first_solution is not None:
                 break
             start += width
 
@@ -468,31 +496,28 @@ class RRTStarPlanner(_SamplingPlanner):
         """Speculative batched evaluation of a multi-sample wave.
 
         Against a snapshot of the tree, the wave's nearest-neighbor lookups
-        run as one distance-matrix einsum, each sample's speculative
-        ``x_new`` is steered, and every speculative edge is validated
-        whole — one ladder construction, one FK batch, one stacked kernel
-        pass — through a single
-        :meth:`~repro.core.collision.CollisionChecker.motion_results_batch`
-        call.  Each sample only sees the tree prefix a one-sample wave at
-        speculation depth ``depth`` would see (pending rounds are blinded).
+        run as one distance matrix in the strategy's own arithmetic
+        (:meth:`~repro.core.neighbors.NeighborStrategy.wave_sq_distances`),
+        and each sample's speculative ``x_new`` is steered.  Each sample
+        only sees the tree prefix a one-sample wave at speculation depth
+        ``depth`` would see (pending rounds are blinded), so a row's unique
+        minimum over that prefix is the commit's nearest, and the commit
+        only replays the search's counts.
 
         :meth:`_simulate_commit` then walks the commit order ahead of time
-        to fix each likely accept's ``x_new``, and :meth:`_extend_edges`
-        collects the choose-parent edges (``point -> x_new``) and rewire
-        edges (``x_new -> point``) the sequential extend may check, pruned
-        by snapshot costs.  They share the wave's second
-        ``motion_results_batch`` call with the re-steered edges, so a wave
-        makes at most two kernel calls.
+        and validates the wave's edges whole in one
+        :meth:`~repro.core.collision.CollisionChecker.motion_results_batch`
+        call, so a wave makes one kernel call.
 
         Returns the snapshot (``n0`` nodes, distance matrix ``d_sq``), the
-        matrix nearest ``base_key`` and predicted post-repair distance
-        ``pre_dist`` per sample, the final speculation
-        (``spec_start``/``spec_new``/``spec_results``), and the wave's
-        ``verdicts`` map, keyed on exact endpoint bytes.  Everything is a
-        prediction: commits verify it bitwise before replaying anything.
+        known nearest ``known_key`` per sample (None when the row minimum
+        is tied), the predicted post-repair distance ``pre_dist`` per
+        sample, the final speculation (``spec_start``/``spec_new``/
+        ``spec_results``), and the wave's ``verdicts`` map, keyed on exact
+        endpoint bytes.  Everything is a prediction: commits verify it
+        bitwise before replaying anything.
         """
         width = len(xs)
-        linear = getattr(self.strategy, "linear_scan", False)
         n0 = len(tree)
         points = tree.points_view()
         pend_rounds = [r for r, _ in pending]
@@ -500,35 +525,24 @@ class RRTStarPlanner(_SamplingPlanner):
         # <= start+j-1-depth, so the blinded suffix is rounds >=
         # start+j-depth; node ids are insertion-ordered, hence the visible
         # set is a prefix of the snapshot.
-        limits = [
+        limits = np.array([
             n0 - sum(1 for r in pend_rounds if r >= start + j - depth)
             for j in range(width)
-        ]
-        base_key = [0] * width
+        ])
         spec_start: List[Optional[np.ndarray]] = [None] * width
         spec_new: List[Optional[np.ndarray]] = [None] * width
         #: Per-sample whole-edge (verdict, events) for the commit replay.
         spec_results: List[Optional[tuple]] = [None] * width
         with get_tracer().span("wave", width=width, nodes=n0), \
                 obs.phase("speculate"):
-            diffs = points[None, :, :] - xs[:, None, :]
-            d_sq = np.einsum("wnd,wnd->wn", diffs, diffs)
-            seg_starts = []
-            seg_ends = []
-            seg_js = []
+            d_sq = self.strategy.wave_sq_distances(points, xs)
+            keys, unique = wave_nearest(d_sq, np.arange(n0) < limits[:, None])
+            known_key = [k if once else None for k, once in zip(keys, unique)]
             pre_key = [0] * width
             pre_dist = [0.0] * width
             for j in range(width):
-                k = int(np.argmin(d_sq[j, : limits[j]]))
-                base_key[j] = k
-                if linear:
-                    # Matches BruteForceIndex: sqrt of the einsum row.
-                    dist = float(np.sqrt(d_sq[j, k]))
-                else:
-                    # Matches SIMBRTree's per-point distance arithmetic.
-                    dist = float(
-                        np.sqrt(float(np.sum((points[k] - xs[j]) ** 2)))
-                    )
+                k = keys[j]
+                dist = math.sqrt(d_sq[j, k])
                 # Predict the POST-repair nearest among the snapshot:
                 # replay the repair scan against the pending entries
                 # that will still be in flight at this sample's commit
@@ -547,55 +561,43 @@ class RRTStarPlanner(_SamplingPlanner):
                 pre_key[j] = k
                 pre_dist[j] = dist
                 if dist > 1e-12:
-                    x_new = self._steer(points[k], xs[j], dist)
-                    spec_new[j] = x_new
-                    seg_starts.append(points[k])
-                    seg_ends.append(x_new)
-                    seg_js.append(j)
-            batch1: dict = {}
-            if seg_js:
-                edge_results = self.checker.motion_results_batch(
-                    np.stack(seg_starts), np.stack(seg_ends)
-                )
-                for j, res in zip(seg_js, edge_results):
-                    batch1[j] = res
+                    spec_new[j] = self._steer(points[k], xs[j], dist)
             verdicts = self._simulate_commit(
                 xs, width, n0, pre_key, pre_dist, points, tree.costs_view(),
-                spec_start, spec_new, spec_results, batch1,
+                spec_start, spec_new, spec_results,
             )
         return {
-            "n0": n0, "d_sq": d_sq, "base_key": base_key, "pre_dist": pre_dist,
+            "n0": n0, "d_sq": d_sq, "known_key": known_key, "pre_dist": pre_dist,
             "spec_start": spec_start, "spec_new": spec_new,
             "spec_results": spec_results, "verdicts": verdicts,
         }
 
     def _simulate_commit(self, xs, width, n0, pre_key, pre_dist, points, costs,
-                         spec_start, spec_new, spec_results, batch1) -> dict:
-        """Fold intra-wave accepts into the speculation (two sim passes).
+                         spec_start, spec_new, spec_results) -> dict:
+        """Fold intra-wave accepts into the speculation; one kernel call.
 
         The pre-pass speculation only sees the tree snapshot, so a sample
         whose true nearest is a node accepted *earlier in the same wave*
         would miss at commit and fall back to a single-edge collision check.
         This walks the commit order ahead of time:
 
-        * Pass A predicts each sample's acceptance from the batch-1
-          verdicts; samples whose predicted nearest moves to an intra-wave
-          accept get their edge re-steered.  A re-steered edge is a short
-          hop to a node just accepted nearby, so pass A assumes it free.
-          The re-steered edges and the choose-parent/rewire edges of every
-          likely accept (:meth:`_extend_edges`) are validated whole in one
-          second :meth:`~repro.core.collision.CollisionChecker.
-          motion_results_batch` call.
-        * Pass B re-walks the chain with both verdict sets and fixes the
-          final per-sample speculation (``spec_start``/``spec_new``/
+        * Pass A assumes every speculative edge is free (a blocked one is
+          rare).  Samples whose predicted nearest moves to an intra-wave
+          accept get their edge re-steered, again assumed free.  The
+          speculative edges, the re-steered edges and the choose-parent/
+          rewire edges of every likely accept (:meth:`_extend_edges`) are
+          validated whole in one :meth:`~repro.core.collision.
+          CollisionChecker.motion_results_batch` call.
+        * Pass B re-walks the chain with those verdicts and fixes the final
+          per-sample speculation (``spec_start``/``spec_new``/
           ``spec_results``), predicting each edge's start point, an
           intra-wave accept's ``x_new`` included.
 
         The simulation uses bitwise the same steering and distance
-        arithmetic as the commit, so its predictions are exact unless a
-        re-steered edge turns out blocked (third-order conflicts); any
-        misprediction surfaces only as a commit-time speculation miss —
-        the single-edge fallback — never as a wrong result.
+        arithmetic as the commit.  A blocked speculative edge makes pass A
+        check edges the commit never asks for; a chain pass A got wrong
+        leaves a sample without a batched result.  Either misprediction
+        costs time only: the commit checks that sample's edge singly.
 
         Returns the wave's verdict map for :meth:`_extend`: batched
         choose-parent/rewire ``(verdict, events)`` keyed on the exact
@@ -610,7 +612,6 @@ class RRTStarPlanner(_SamplingPlanner):
         if not cand_idx:
             for j in range(width):
                 spec_start[j] = points[pre_key[j]]
-                spec_results[j] = batch1.get(j)
             return {}
         margin = 1.0 + 1e-9
         cmat = np.stack([spec_new[j] for j in cand_idx])
@@ -618,7 +619,7 @@ class RRTStarPlanner(_SamplingPlanner):
         sq_a = np.einsum("wmd,wmd->wm", d_a, d_a).tolist()
         col_of = {j: i for i, j in enumerate(cand_idx)}
 
-        # ---- pass A: find edges that need a second collision batch
+        # ---- pass A: collect the wave's edges, every speculation free
         # (candidate column, or None when not in sq_a; point; likely index)
         accepts = []
         resteer = []
@@ -637,45 +638,47 @@ class RRTStarPlanner(_SamplingPlanner):
                         dist, pt, ref = pdist, apt, n0 + idx
                         bound = dist * dist * margin
             if pt is not None:
-                # Moved intra-wave: re-steer, and assume the short hop
-                # is free.
+                # Moved intra-wave: re-steer.
                 if dist > 1e-12:
                     x2 = self._steer(pt, xs[j], dist)
                     resteer.append((j, pt, x2))
                     accepts.append((None, x2, len(likely)))
                     likely.append((x2, ref))
                 continue
-            res = batch1.get(j)
-            if res is not None and not res[0]:
+            if spec_new[j] is not None:
                 accepts.append((col_of[j], spec_new[j], len(likely)))
                 likely.append((spec_new[j], pre_key[j]))
-        starts = [pt for _, pt, _ in resteer]
-        ends = [x2 for _, _, x2 in resteer]
+        starts = [points[pre_key[j]] for j in cand_idx]
+        ends = [spec_new[j] for j in cand_idx]
+        starts.extend(pt for _, pt, _ in resteer)
+        ends.extend(x2 for _, _, x2 in resteer)
         if likely and self.config.rewire:
             extend_starts, extend_ends = self._extend_edges(
                 likely, points, costs, n0
             )
             starts.extend(extend_starts)
             ends.extend(extend_ends)
-        batch2: dict = {}
+        edge_results = self.checker.motion_results_batch(
+            np.stack(starts), np.stack(ends)
+        )
+        spec_edges = dict(zip(cand_idx, edge_results))
+        resteered: dict = {}
         bcol_of: dict = {}
-        verdicts: dict = {}
+        first = len(cand_idx)
+        for i, (j, pt, x2) in enumerate(resteer):
+            resteered[j] = (pt, x2, edge_results[first + i])
+            bcol_of[j] = i
+        verdicts = {
+            (starts[i].tobytes(), ends[i].tobytes()): edge_results[i]
+            for i in range(first + len(resteer), len(starts))
+        }
         sq_b = None
-        if starts:
-            edge_results = self.checker.motion_results_batch(
-                np.stack(starts), np.stack(ends)
-            )
-            for i, ((j, pt, x2), res) in enumerate(zip(resteer, edge_results)):
-                batch2[j] = (pt, x2, res)
-                bcol_of[j] = i
-            for i in range(len(resteer), len(starts)):
-                verdicts[starts[i].tobytes(), ends[i].tobytes()] = edge_results[i]
         if resteer:
             bmat = np.stack([x2 for _, _, x2 in resteer])
             d_b = bmat[None, :, :] - xs[:, None, :]
             sq_b = np.einsum("wmd,wmd->wm", d_b, d_b).tolist()
 
-        # ---- pass B: exact chain replay with both verdict sets
+        # ---- pass B: exact chain replay with the verdicts
         accepts = []  # (matrix flag, column, point); id = n0 + position
         for j in range(width):
             k, dist = pre_key[j], pre_dist[j]
@@ -697,12 +700,12 @@ class RRTStarPlanner(_SamplingPlanner):
                 continue
             if k == pre_key[j]:
                 x2 = spec_new[j]
-                results = batch1.get(j)
+                results = spec_edges.get(j)
                 in_b, col = False, col_of.get(j)
             else:
                 x2 = self._steer(pt, xs[j], dist)
                 spec_new[j] = x2
-                entry = batch2.get(j)
+                entry = resteered.get(j)
                 results = None
                 in_b, col = True, bcol_of.get(j)
                 if (entry is not None and np.array_equal(entry[0], pt)
@@ -782,7 +785,7 @@ class RRTStarPlanner(_SamplingPlanner):
     # -------------------------------------------------------------- internals
 
     def _nearest_with_repair(self, tree, x_rand, pending, counter, obs,
-                             d_sq_row=None, snapshot_len=0, scan_key=None):
+                             d_sq_row=None, snapshot_len=0, known_key=None):
         """Speculated nearest-neighbor search plus the repair step.
 
         Without speculation this is a plain exact search.  With speculation,
@@ -790,19 +793,21 @@ class RRTStarPlanner(_SamplingPlanner):
         repair step then reads each pending node from the Missing Neighbors
         Buffer and keeps whichever candidate is truly nearest.  In a
         speculated wave ``d_sq_row`` is the sample's row of the snapshot
-        distance matrix, and ``scan_key`` its matrix nearest when the
-        strategy is a linear scan: the row then answers the search, charged
-        at the scan's cost.
+        distance matrix and ``known_key`` its unique minimum over the
+        visible prefix: when the strategy can replay the search's counts
+        (:meth:`~repro.core.neighbors.NeighborStrategy.count_nearest`) the
+        row answers the search, otherwise the index searches.
         """
         with obs.phase("nearest", counter):
-            if scan_key is None:
-                exclude = {key for _, key in pending} if pending else None
+            exclude = {key for _, key in pending} if pending else None
+            if known_key is not None and self.strategy.count_nearest(
+                    x_rand, known_key, float(d_sq_row[known_key]),
+                    counter=counter, exclude=exclude):
+                found = (known_key, tree.point(known_key),
+                         float(np.sqrt(d_sq_row[known_key])))
+            else:
                 found = self.strategy.nearest(x_rand, counter=counter, exclude=exclude)
                 assert found is not None, "tree root can never be excluded"
-            else:
-                self.strategy.count_nearest(counter)
-                found = (scan_key, tree.point(scan_key),
-                         float(np.sqrt(d_sq_row[scan_key])))
         nearest_key, nearest_point, nearest_dist = found
         missing_used = 0
         repaired = False

@@ -132,13 +132,18 @@ class PhaseRecorder:
     def __exit__(self, *exc) -> None:
         end = time.perf_counter()
         name, counter, macs, start = self._open.pop()
+        self.add(name, end - start,
+                 macs=counter.total_macs() - macs if counter is not None else 0.0)
+
+    def add(self, name: str, seconds: float, calls: int = 1,
+            macs: float = 0.0) -> None:
+        """Add a phase measured elsewhere: ``seconds``, ``calls`` and ``macs``."""
         entry = self._totals.get(name)
         if entry is None:
             entry = self._totals[name] = [0.0, 0, 0.0]
-        entry[0] += end - start
-        entry[1] += 1
-        if counter is not None:
-            entry[2] += counter.total_macs() - macs
+        entry[0] += seconds
+        entry[1] += calls
+        entry[2] += macs
 
     def totals(self) -> Dict[str, Dict[str, float]]:
         """``{phase: {"seconds", "calls", "macs"}}`` of the phases that ran,

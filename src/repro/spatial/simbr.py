@@ -202,7 +202,7 @@ class SIMBRTree:
         """Grow ancestor MBRs to cover ``point`` (and the parents' rows)."""
         current: Optional[_Node] = node
         while current is not None:
-            if np.all(point >= current.lo) and np.all(point <= current.hi):
+            if (point >= current.lo).all() and (point <= current.hi).all():
                 break
             current.lo = np.minimum(current.lo, point)
             current.hi = np.maximum(current.hi, point)
@@ -334,6 +334,69 @@ class SIMBRTree:
         if best_key is None:
             return None
         return best_key, best_point, float(np.sqrt(best_sq))
+
+    def count_nearest(self, query: np.ndarray, key: Hashable, best_sq: float,
+                      counter=None, exclude=None) -> bool:
+        """Record the counts of a :meth:`nearest` search whose answer is known.
+
+        ``key`` must be the unique visible entry nearest to ``query`` and
+        ``best_sq`` its squared distance in the leaf arithmetic
+        (``((points - query) ** 2).sum(axis=1)``).  The best-first walk then
+        expands exactly the nodes whose MINDIST² is below ``best_sq``, so a
+        count-only descent expands those, records one ``mindist`` per child
+        of each and one ``dist`` per visible entry of each leaf reached, and
+        skips the heap and the leaf distances.  It declines — returning
+        False with nothing recorded, so the caller walks — when a child's
+        MINDIST² lies within a 1e-9 relative margin of ``best_sq`` (the walk
+        would then depend on rounding and heap order), when the descent does
+        not reach ``key``'s leaf, or when an ``access_hook`` needs the
+        walk's trace.  It descends level by level: one MINDIST call per
+        level over the stacked child corners, row for row the walk's
+        per-node ones.
+        """
+        if self.access_hook is not None or key not in self._leaf_of:
+            return False
+        query = np.asarray(query, dtype=float)
+        exclude = exclude or frozenset()
+        low, high = best_sq * (1.0 - 1e-9), best_sq * (1.0 + 1e-9)
+        answer_leaf = self._leaf_of[key]
+        reached = False
+        mindists = dists = 0
+        level = [self._root]
+        while level:
+            expand = []
+            for node in level:
+                if not node.is_leaf:
+                    expand.append(node)
+                    continue
+                reached = reached or node is answer_leaf
+                dists += (len(node.entries) if not exclude
+                          else sum(k not in exclude for k, _ in node.entries))
+            if not expand:
+                break
+            if len(expand) == 1:
+                lo, hi = expand[0].child_lo, expand[0].child_hi
+                children = expand[0].children
+            else:
+                lo = np.concatenate([node.child_lo for node in expand])
+                hi = np.concatenate([node.child_hi for node in expand])
+                children = [child for node in expand for child in node.children]
+            mindists += len(children)
+            level = []
+            bounds = mindist_sq_point_to_rects(query, lo, hi).tolist()
+            for child, bound in zip(children, bounds):
+                if bound < low:
+                    level.append(child)
+                elif bound <= high:
+                    return False
+        if not reached:
+            return False
+        if counter is not None:
+            if mindists:
+                counter.record("mindist", dim=self.dim, n=mindists)
+            if dists:
+                counter.record("dist", dim=self.dim, n=dists)
+        return True
 
     def neighbors_within(self, query: np.ndarray, radius: float, counter=None):
         """All entries within ``radius`` of ``query`` (exact range search).

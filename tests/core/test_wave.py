@@ -134,6 +134,74 @@ class TestWaveBatchedExtend:
         assert calls["single"] < scalar_checks / 4
 
 
+class TestOnePassPerWave:
+    """A wave checks its edges in one kernel call, and its distance matrix
+    answers the commit-time nearest searches."""
+
+    @pytest.mark.parametrize("robot,variant", [("xarm7", "v4"), ("mobile2d", "v1")])
+    def test_every_wide_wave_makes_one_kernel_call(self, monkeypatch, robot, variant):
+        counts = []  # kernel calls per speculated wave
+        in_wave = [False]
+        batch = CollisionChecker.motion_results_batch
+        speculate = RRTStarPlanner._speculate
+
+        def counting_batch(self, *args, **kwargs):
+            counts[-1] += in_wave[0]  # commit-time checks are not the wave's
+            return batch(self, *args, **kwargs)
+
+        def counted(self, *args, **kwargs):
+            counts.append(0)
+            in_wave[0] = True
+            try:
+                return speculate(self, *args, **kwargs)
+            finally:
+                in_wave[0] = False
+
+        monkeypatch.setattr(CollisionChecker, "motion_results_batch", counting_batch)
+        monkeypatch.setattr(RRTStarPlanner, "_speculate", counted)
+        counts.append(0)  # before the first wave
+        result = _plan(robot, variant, samples=120, obstacles=12, wave_width=8)
+        counts = counts[1:]
+        assert len(counts) == result.phases["speculate"]["calls"] > 1
+        assert counts == [1] * len(counts)
+
+    def _walks(self, monkeypatch, hook, replay=True):
+        """A W=8 plan with the SI-MBR tree's ``access_hook`` set or not;
+        returns the plan, its access trace and its heap walks."""
+        task = random_task("xarm7", 12, seed=2)
+        config = config_for_variant("v4", max_samples=120, seed=2, wave_width=8)
+        planner = RRTStarPlanner(get_robot("xarm7"), task, config)
+        tree = planner.strategy.tree
+        trace, walks = [], []
+        if hook:
+            tree.access_hook = lambda uid, depth: trace.append((uid, depth))
+        if not replay:
+            monkeypatch.setattr(planner.strategy, "count_nearest",
+                                lambda *args, **kwargs: False)
+        walk = tree.nearest
+
+        def counted(*args, **kwargs):
+            walks.append(1)
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(tree, "nearest", counted)
+        return planner.plan(), trace, len(walks)
+
+    def test_matrix_answers_almost_every_search(self, monkeypatch):
+        replayed, _, walks = self._walks(monkeypatch, hook=False)
+        walked, _, every = self._walks(monkeypatch, hook=False, replay=False)
+        _assert_bit_identical(replayed, walked)
+        assert every == len(walked.rounds)
+        assert walks <= every // 10
+
+    def test_an_access_hook_keeps_every_walk_and_its_trace(self, monkeypatch):
+        hooked, trace, walks = self._walks(monkeypatch, hook=True)
+        walked, want, every = self._walks(monkeypatch, hook=True, replay=False)
+        _assert_bit_identical(hooked, walked)
+        assert walks == every == len(hooked.rounds)
+        assert trace == want and trace
+
+
 class TestWaveFaultSites:
     def _plan_until_fault(self, **overrides):
         task = random_task("mobile2d", 8, seed=2)

@@ -194,6 +194,55 @@ class TestWaveGate:
         assert len(compare_to_baseline(now, base)) == 2
 
 
+class TestWaveWorkGate:
+    """The wave rows' work counts: one kernel call per wave, SI-MBR walks
+    for at most a tenth of the wave samples."""
+
+    def counted(self, **counts):
+        work = {"kernel_calls_per_wave": 1, "walks": 60, "wave_samples": 600}
+        return dict(wave_entry(), **dict(work, **counts))
+
+    def test_counts_within_the_gate_pass(self):
+        from repro.bench import check_wave_work
+
+        assert check_wave_work(self.counted()) == []
+
+    def test_a_second_call_or_more_walks_fail(self):
+        from repro.bench import check_wave_work
+
+        base = {"schema": 1, "wave": [self.counted()]}
+        two = self.counted(kernel_calls_per_wave=2)
+        assert compare_to_baseline({"schema": 1, "wave": [two]}, base) == [
+            "wave mobile2d/32obs/v1-norewire W=8: 2 kernel calls in one wave (> 1)"
+        ]
+        walks = check_wave_work(self.counted(walks=61))
+        assert walks == ["wave mobile2d/32obs/v1-norewire W=8: 61 SI-MBR walks "
+                         "for 600 wave samples (> 10%)"]
+
+    def test_rows_without_counts_are_gated_on_time_alone(self):
+        from repro.bench import check_wave_work
+
+        assert check_wave_work(wave_entry()) == []
+
+    def test_a_plan_is_counted(self):
+        from repro.bench import _wave_work
+        from repro.core.moped import config_for_variant
+        from repro.core.robots import get_robot
+        from repro.core.rrtstar import RRTStarPlanner
+        from repro.workloads.generator import random_task
+
+        config = config_for_variant("v4", max_samples=120, seed=2, wave_width=8)
+        planner = RRTStarPlanner(get_robot("xarm7"), random_task("xarm7", 12, seed=2),
+                                 config)
+        work = _wave_work(planner)
+        result = work.pop("result")
+        assert work["waves"] == result.phases["speculate"]["calls"] == 15
+        assert work["wave_samples"] == 120
+        assert work["kernel_calls_per_wave"] == 1
+        assert work["waves"] <= work["kernel_calls"] <= work["edges"]
+        assert work["walks"] <= 12
+
+
 class TestEverySectionGate:
     """compare_to_baseline gates each timed section the same way."""
 

@@ -103,9 +103,15 @@ class TestPlannerRuns:
         assert {"sample", "nearest", "collision"} <= set(first.phases)
         assert _calls_and_macs(first) == _calls_and_macs(second)
 
-    def test_sample_calls_equal_samples_drawn(self, task, mode, width):
+    def test_sample_calls_equal_sample_events(self, task, mode, width):
+        """A draw is a ``sample`` call when its round ran; a wave's draws
+        past a bridge are timed under ``speculate``, with no call."""
         result, drawn = _plan(task, mode, width)
-        assert result.phases["sample"]["calls"] == drawn > 0
+        events = result.counter.events["sample"]
+        assert result.phases["sample"]["calls"] == events > 0
+        assert drawn >= events
+        if drawn > events:
+            assert result.phases["speculate"]["calls"] == _speculated_waves(result)
 
     def test_phase_macs_within_run_total(self, task, mode, width):
         result, _ = _plan(task, mode, width)
@@ -149,6 +155,19 @@ def test_untraced_service_batch_has_phase_axes(workers):
     phases = summary["latency_s"]["phases"]
     assert {"sample", "nearest", "collision"} <= set(phases)
     assert phases["collision"]["max"] > 0
+
+
+@pytest.mark.parametrize("mode,stop", [("connect", False), ("rrtstar", True)])
+def test_draws_of_a_wave_that_ends_early_are_not_sample_calls(mode, stop):
+    # A connect bridge, or a goal reached with stop_on_goal, ends the run
+    # mid-wave: 24 and 72 samples drawn, 18 and 70 of them committed.
+    task = random_task("mobile2d", 8, seed=1)
+    config = moped_config("v4", max_samples=150, seed=1, mode=mode,
+                          wave_width=8, stop_on_goal=stop)
+    result = make_planner(get_robot("mobile2d"), task, config).plan()
+    committed = result.counter.events["sample"]
+    assert committed == result.iterations < 8 * _speculated_waves(result)
+    assert result.phases["sample"]["calls"] == committed
 
 
 def test_a_one_sample_tail_wave_is_not_speculated(task):

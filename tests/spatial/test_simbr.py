@@ -481,3 +481,120 @@ def test_validate_checks_the_stacked_rows():
     leaf.points = leaf.points[::-1].copy()
     with pytest.raises(AssertionError, match="leaf point rows"):
         tree.validate()
+
+
+# ------------------------------------------------------------------------
+# Count-only descent: the counts of a nearest search whose answer the
+# wavefront planner's distance matrix already holds.
+
+
+def _build(rng, n, dim, capacity, steering):
+    tree = SIMBRTree(dim=dim, capacity=capacity)
+    points = []
+    for i in range(n):
+        if steering and i > 0:
+            parent = int(rng.integers(0, i))
+            p = points[parent] + rng.normal(scale=1.0, size=dim)
+            tree.insert(i, p, sibling_of=parent)
+        else:
+            p = rng.uniform(-10, 10, dim)
+            tree.insert(i, p)
+        points.append(p)
+    return tree, points
+
+
+def _replayed(tree, points, query, exclude):
+    """The planner's path: the strategy's matrix row, its unique visible
+    minimum, the count-only descent.  Returns ``(found, counts)`` like the
+    walk's, or None when the path declines."""
+    from repro.core.neighbors import SIMBRStrategy, wave_nearest
+
+    row = SIMBRStrategy(tree.dim).wave_sq_distances(np.array(points), query[None])
+    visible = np.array([[key not in exclude for key in range(len(points))]])
+    keys, unique = wave_nearest(row, visible)
+    if not unique[0]:
+        return None
+    key, best_sq = keys[0], float(row[0, keys[0]])
+    counter = OpCounter()
+    if not tree.count_nearest(query, key, best_sq, counter=counter,
+                              exclude=exclude):
+        assert counter.to_dict() == OpCounter().to_dict()  # nothing recorded
+        return None
+    return (key, points[key], float(np.sqrt(best_sq))), counter.to_dict()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=90),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=2, max_value=7),
+    st.integers(min_value=3, max_value=8),
+    st.booleans(),
+    st.sampled_from(["none", "duplicate", "mirror"]),
+)
+def test_count_only_descent_matches_the_walk(n, seed, dim, capacity, steering,
+                                             plant):
+    """Where the matrix path answers, it is the walk bit for bit: key,
+    point, distance and counts.  A planted tie at the minimum — a
+    duplicated point, or two points mirrored about the query — declines."""
+    rng = np.random.default_rng(seed)
+    tree, points = _build(rng, n, dim, capacity, steering)
+    query = points[int(rng.integers(0, n))] + rng.normal(scale=0.5, size=dim)
+    tied = []
+    if plant == "duplicate":
+        twin = int(rng.integers(0, n))
+        tree.insert(n, points[twin].copy(), sibling_of=twin if steering else None)
+        points.append(points[twin].copy())
+        query = points[twin] + rng.normal(scale=1e-3, size=dim)
+        tied = [twin, n]
+    elif plant == "mirror":
+        # Dyadic coordinates keep query +- offset and the differences
+        # exact, so both points lie at bitwise the same distance.
+        query = np.round(query * 8) / 8
+        offset = np.round(rng.normal(size=dim) * 64) / 4096
+        for sign in (1.0, -1.0):
+            tree.insert(len(points), query + sign * offset)
+            points.append(query + sign * offset)
+        tied = [n, n + 1]
+    tree.validate()
+    exclude = set()
+    if rng.random() < 0.5:
+        hidden = rng.choice(len(points), size=int(rng.integers(0, len(points))),
+                            replace=False)
+        exclude = set(hidden.tolist()) - set(tied)
+
+    counter = OpCounter()
+    want = tree.nearest(query, counter=counter, exclude=exclude)
+    got = _replayed(tree, points, query, exclude)
+    if tied and want[2] == float(np.sqrt(np.sum((points[tied[0]] - query) ** 2))):
+        assert got is None  # the tie is the minimum: the matrix path declines
+    if got is not None:
+        found, counts = got
+        assert found[0] == want[0]
+        assert np.array_equal(found[1], want[1])
+        assert found[2].hex() == want[2].hex()
+        assert counts == counter.to_dict()
+
+
+def test_count_only_descent_answers_most_searches():
+    """The descent declines rarely, so the walk it replaces rarely runs."""
+    rng = np.random.default_rng(5)
+    tree, points = _build(rng, 400, 7, 8, steering=True)
+    answered = 0
+    for _ in range(200):
+        query = points[int(rng.integers(0, 400))] + rng.normal(scale=1.0, size=7)
+        answered += _replayed(tree, points, query, set()) is not None
+    assert answered >= 180
+
+
+def test_count_only_descent_declines_under_an_access_hook():
+    rng = np.random.default_rng(6)
+    tree, points = _build(rng, 60, 3, 4, steering=False)
+    trace = []
+    tree.access_hook = lambda uid, depth: trace.append(uid)
+    query = rng.uniform(-10, 10, 3)
+    key, _, dist = tree.nearest(query)
+    trace.clear()
+    counter = OpCounter()
+    assert not tree.count_nearest(query, key, dist * dist, counter=counter)
+    assert trace == [] and counter.total_events() == 0
