@@ -715,8 +715,9 @@ def bench_portfolio(quick: bool = False, seed: int = 3, workers: int = 2) -> Dic
     robot_name, obstacles = "rozum", 16
     with PlanningService(num_workers=workers) as service:
         requests = build_requests(
-            robot=robot_name, obstacles=obstacles, jobs=jobs, seed=seed,
-            samples=400, portfolio=PORTFOLIO_RACE,
+            moped_config("full", max_samples=400, goal_bias=0.1, seed=seed),
+            robot=robot_name, obstacles=obstacles, jobs=jobs,
+            portfolio=PORTFOLIO_RACE,
         )
         t0 = time.perf_counter()
         responses = service.run_batch(requests)

@@ -147,8 +147,10 @@ def save_tasks(tasks: List[PlanningTask], path: PathLike) -> None:
 
 
 def load_tasks(path: PathLike) -> List[PlanningTask]:
-    """Read a task suite from a JSON file."""
+    """Read a task suite, or a single task as a one-task suite, from JSON."""
     payload = json.loads(pathlib.Path(path).read_text())
+    if isinstance(payload, dict):
+        return [task_from_dict(payload)]
     return [task_from_dict(d) for d in payload]
 
 

@@ -10,8 +10,8 @@ Usage::
     python -m repro.obs rca chaos.json --split fault=clean --measure wall_seconds
     python -m repro.obs rca-smoke --out rca-report.json
 
-``report`` merges the files a run exported (``repro.cli --trace
---metrics`` or ``repro.service --trace --metrics``) into one profile: the
+``report`` merges the files a run exported (``repro.service --trace
+--metrics``) into one profile: the
 per-phase time/MAC breakdown table comes from the metrics file's
 ``repro_phase_*`` counters, span totals from the trace; ``--json`` emits
 the merged structure machine-readably instead.

@@ -14,9 +14,11 @@ a job; the pool provides job parallelism *across* cores.
 
 Quickstart::
 
+    from repro.core.moped import config_for_variant
     from repro.service import PlanningService, build_requests
 
-    requests = build_requests(robot="mobile2d", obstacles=8, jobs=8, seed=0)
+    config = config_for_variant("full", max_samples=400, goal_bias=0.1)
+    requests = build_requests(config, robot="mobile2d", obstacles=8, jobs=8)
     service = PlanningService(num_workers=4)
     responses = service.run_batch(requests)
     print(service.summary()["latency_s"]["plan"])

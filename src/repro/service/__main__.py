@@ -1,7 +1,10 @@
-"""Batch service entry point: plan many tasks through the worker pool.
+"""Planning command: plan one task or a batch through the planning service.
 
 Usage::
 
+    python -m repro.service --jobs 1 --workers 0 --robot viperx300 --obstacles 16
+    python -m repro.service --jobs 1 --workers 0 --smooth --render --responses r.json
+    python -m repro.service --jobs 1 --workers 0 --wave 8 --kernels reference
     python -m repro.service --jobs 8 --workers 4 --samples 400
     python -m repro.service --jobs 8 --duplicate 2          # show cache hits
     python -m repro.service --jobs 8 --inject hang:2 --timeout 1.0
@@ -9,13 +12,17 @@ Usage::
     python -m repro.service --tasks suite.json --out telemetry.json
     python -m repro.service --jobs 4 --trace trace.json --metrics m.prom
 
-Generates ``--jobs`` seeded tasks (or loads a suite from ``--tasks``), runs
-them through :class:`~repro.service.runner.PlanningService`, prints one
-line per job on stderr (status, cost, cache hit, race winner) and the
-telemetry summary as JSON on stdout: job/status counts, cache hit-rate,
-p50/p95 plan latency and queue wait, and MAC-level op totals.  Exit code 0
-when every job finished ``ok`` or ``degraded``, 2 when some jobs failed
-(the service itself survives worker timeouts and crashes by design).
+Generates ``--jobs`` seeded tasks (or loads one task or a suite from
+``--tasks``), plans each with the one :class:`PlannerConfig` the planner
+flags describe, through :class:`~repro.service.runner.PlanningService`
+(``--workers 0`` plans inline, in this process).  Prints one line per job
+on stderr (status, cost, cache hit, race winner; ``--render`` adds the
+ASCII workspace of each 2D job) and the telemetry summary as JSON on
+stdout: job/status counts, cache hit-rate, p50/p95 plan latency and queue
+wait, and MAC-level op totals.  Exit code 0 when every job finished ``ok``
+or ``degraded`` (a degraded job may have found no path), 2 when some jobs
+failed or an option value is invalid (the service itself survives worker
+timeouts and crashes by design).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import json
 import sys
 from typing import Optional
 
-from repro.core.moped import VARIANTS
+from repro.core.moped import VARIANTS, config_for_variant
 from repro.core.robots import ROBOT_FACTORIES
 from repro.service.pool import PoolConfig
 from repro.service.runner import PlanningService, build_requests
@@ -36,31 +43,51 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.service", description=__doc__.splitlines()[0]
     )
     parser.add_argument("--robot", default="mobile2d",
-                        choices=sorted(ROBOT_FACTORIES))
-    parser.add_argument("--obstacles", type=int, default=8)
-    parser.add_argument("--variant", default="full", choices=VARIANTS)
+                        choices=sorted(ROBOT_FACTORIES),
+                        help="robot model (ignored with --tasks)")
+    parser.add_argument("--obstacles", type=int, default=8,
+                        help="obstacle count of each generated environment")
+    parser.add_argument("--variant", default="full", choices=VARIANTS,
+                        help="MOPED ablation variant or 'baseline'")
     parser.add_argument("--samples", type=int, default=400,
                         help="sampling budget per job")
     parser.add_argument("--goal-bias", type=float, default=0.1)
-    parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--jobs", type=int, default=8,
-                        help="number of generated tasks (seeds seed..seed+N-1)")
-    parser.add_argument("--tasks", default=None,
-                        help="plan a task suite from this JSON file instead")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker processes (0 = inline, no pool)")
-    parser.add_argument("--smooth", action="store_true")
-    parser.add_argument("--timeout", type=float, default=60.0,
-                        help="per-job wall budget in seconds")
-    parser.add_argument("--retries", type=int, default=1,
-                        help="max retry attempts for crashed/errored jobs")
-    parser.add_argument("--deadline", type=float, default=None, metavar="S",
-                        help="anytime-planning deadline per job; expired "
-                             "budgets return 'degraded' best-so-far results")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="base seed: job i plans task seed+i with "
+                             "planner seed seed+i")
+    parser.add_argument("--wave", type=int, default=1, metavar="W",
+                        help="wave width: draw W samples per wave and "
+                             "evaluate them through batched kernels "
+                             "(default: %(default)s, one sample per wave "
+                             "with direct edge checks)")
+    parser.add_argument("--kernels", default="batch",
+                        choices=("batch", "reference"),
+                        help="collision kernel backend: vectorized 'batch' "
+                             "(default) or the scalar 'reference' baseline; "
+                             "both give bit-identical plans")
     parser.add_argument("--mode", default="rrtstar",
                         choices=("rrtstar", "connect"),
                         help="planning algorithm: optimizing RRT* (default) "
                              "or bidirectional RRT-Connect")
+    parser.add_argument("--deadline", type=float, default=None, metavar="S",
+                        help="anytime-planning deadline per job; expired "
+                             "budgets return 'degraded' best-so-far results")
+    parser.add_argument("--jobs", type=int, default=8,
+                        help="number of generated tasks (seeds seed..seed+N-1)")
+    parser.add_argument("--tasks", default=None, metavar="PATH",
+                        help="plan the tasks of this JSON file instead: one "
+                             "task object or a suite list")
+    parser.add_argument("--workers", type=int, default=2,
+                        help="worker processes (0 = inline, no pool)")
+    parser.add_argument("--smooth", action="store_true",
+                        help="shortcut-smooth each found path")
+    parser.add_argument("--render", action="store_true",
+                        help="print the ASCII workspace and path of each 2D "
+                             "job on stderr")
+    parser.add_argument("--timeout", type=float, default=60.0,
+                        help="per-job wall budget in seconds")
+    parser.add_argument("--retries", type=int, default=1,
+                        help="max retry attempts for crashed/errored jobs")
     parser.add_argument("--portfolio", default=None, metavar="NAMES",
                         help="race each job across a comma-separated planner "
                              "portfolio (connect,rrtstar,wave,informed or "
@@ -79,6 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="include per-job records in the printed summary")
     parser.add_argument("--out", default=None,
                         help="also write the summary (with records) here")
+    parser.add_argument("--responses", default=None, metavar="PATH",
+                        help="write every job's response (path, cost, op "
+                             "counts, phases) as a JSON list here")
     obs_group = parser.add_argument_group("observability (repro.obs)")
     obs_group.add_argument("--trace", default=None, metavar="PATH",
                            help="trace every job (cache bypassed); workers "
@@ -86,14 +116,17 @@ def build_parser() -> argparse.ArgumentParser:
                                 "merged Chrome trace_event JSON is written "
                                 "here (open in Perfetto)")
     obs_group.add_argument("--metrics", default=None, metavar="PATH",
-                           help="collect planner metrics across workers; "
+                           help="collect planner metrics across workers and "
                                 "write Prometheus text (or JSON if PATH ends "
-                                "in .json) here")
+                                "in .json) here; like --trace, this marks "
+                                "every job traced, so the plan cache is "
+                                "bypassed (no hits)")
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     observing = bool(args.trace or args.metrics)
     if observing:
@@ -108,48 +141,57 @@ def main(argv: Optional[list] = None) -> int:
 
         tasks = load_tasks(args.tasks)
 
-    requests = build_requests(
-        robot=args.robot,
-        obstacles=args.obstacles,
-        jobs=args.jobs,
-        seed=args.seed,
-        variant=args.variant,
-        samples=args.samples,
-        goal_bias=args.goal_bias,
-        smooth=args.smooth,
-        timeout_s=args.timeout,
-        duplicate=args.duplicate,
-        inject=args.inject,
-        tasks=tasks,
-        trace=observing,
-        deadline_s=args.deadline,
-        mode=args.mode,
-        portfolio=(
-            tuple(name.strip() for name in args.portfolio.split(",")
-                  if name.strip())
-            if args.portfolio else None
-        ),
-    )
-
-    fault_plan = None
-    if args.fault_plan:
-        from repro.faults import FaultPlan
-
-        fault_plan = FaultPlan.from_spec(args.fault_plan, seed=max(1, args.seed))
-
-    pool_config = None
-    if args.workers > 0:
-        pool_config = PoolConfig(
-            num_workers=args.workers,
-            default_timeout_s=args.timeout,
-            max_retries=args.retries,
-            fault_plan=fault_plan,
+    try:
+        config = config_for_variant(
+            args.variant,
+            max_samples=args.samples,
+            seed=args.seed,
+            goal_bias=args.goal_bias,
+            kernels=args.kernels,
+            wave_width=args.wave,
+            deadline_s=args.deadline,
+            mode=args.mode,
         )
-    with PlanningService(
-        num_workers=args.workers,
-        cache_capacity=args.cache_capacity,
-        pool_config=pool_config,
-    ) as service:
+        requests = build_requests(
+            config,
+            robot=args.robot,
+            obstacles=args.obstacles,
+            jobs=args.jobs,
+            smooth=args.smooth,
+            timeout_s=args.timeout,
+            duplicate=args.duplicate,
+            inject=args.inject,
+            tasks=tasks,
+            trace=observing,
+            portfolio=(
+                tuple(name.strip() for name in args.portfolio.split(",")
+                      if name.strip())
+                if args.portfolio else None
+            ),
+        )
+        fault_plan = None
+        if args.fault_plan:
+            from repro.faults import FaultPlan
+
+            fault_plan = FaultPlan.from_spec(args.fault_plan,
+                                             seed=max(1, args.seed))
+        pool_config = None
+        if args.workers > 0:
+            pool_config = PoolConfig(
+                num_workers=args.workers,
+                default_timeout_s=args.timeout,
+                max_retries=args.retries,
+                fault_plan=fault_plan,
+            )
+        service = PlanningService(
+            num_workers=args.workers,
+            cache_capacity=args.cache_capacity,
+            pool_config=pool_config,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+
+    with service:
         responses = service.run_batch(requests)
         summary = service.summary(include_records=args.records)
         if args.out is not None:
@@ -166,7 +208,11 @@ def main(argv: Optional[list] = None) -> int:
         if args.metrics:
             obs.get_registry().export(args.metrics)
 
-    for response in responses:
+    if args.responses is not None:
+        with open(args.responses, "w") as fh:
+            json.dump([r.to_dict() for r in responses], fh, indent=2)
+
+    for request, response in zip(requests, responses):
         cost = "-" if response.path_cost is None else f"{response.path_cost:.2f}"
         tag = " cache" if response.cache_hit else ""
         if response.race:
@@ -178,6 +224,13 @@ def main(argv: Optional[list] = None) -> int:
             status += f" ({response.degraded_reason})"
         print(f"{response.request_id}: {status} "
               f"success={response.success} cost={cost}{tag}", file=sys.stderr)
+        if args.render and request.task.environment.workspace_dim == 2:
+            from repro.analysis.render import render_environment
+
+            print(render_environment(
+                request.task.environment,
+                path=response.path if response.success else None,
+            ), file=sys.stderr)
     print(json.dumps(summary, indent=2))
     return 0 if all(r.status in ("ok", "degraded") for r in responses) else 2
 

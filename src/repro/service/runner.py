@@ -32,7 +32,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import portfolio as portfolio_mod
-from repro.core.moped import config_for_variant
+from repro.core.config import PlannerConfig
 from repro.core.world import PlanningTask
 from repro.obs import bump, get_registry, get_tracer
 from repro.service.cache import PlanCache
@@ -545,64 +545,54 @@ class PlanningService:
 
 
 def build_requests(
+    config: PlannerConfig,
     robot: str = "mobile2d",
     obstacles: int = 8,
     jobs: int = 8,
-    seed: int = 0,
-    variant: str = "full",
-    samples: int = 500,
-    goal_bias: float = 0.1,
     smooth: bool = False,
     timeout_s: Optional[float] = None,
     duplicate: int = 1,
     inject: Optional[str] = None,
     tasks: Optional[Sequence[PlanningTask]] = None,
     trace: bool = False,
-    deadline_s: Optional[float] = None,
-    mode: str = "rrtstar",
     portfolio: Optional[Sequence[str]] = None,
 ) -> List[PlanRequest]:
-    """Seeded request batch for the CLIs and tests.
+    """Seeded request batch for the service command and tests.
 
-    Without ``tasks``, generates ``jobs`` tasks with seeds ``seed .. seed +
-    jobs - 1`` (each task's planner config uses the matching seed, so the
-    whole request is deterministic).  ``duplicate=k`` repeats the batch k
-    times — duplicates coalesce or hit the cache, which is how the CLIs
-    demonstrate a non-zero hit rate.  ``inject="kind"`` or ``"kind:index"``
-    arms the fault hook on one request (default index 0); ``kind`` is any
-    :class:`PlanRequest.fault` spec (``hang`` / ``crash`` / ``error`` /
-    ``slow:<s>`` / transport kinds).  ``trace=True`` marks every request
-    for the observability layer (workers ship spans/metrics back).
-    ``deadline_s`` arms anytime planning on every request's config (expired
-    budgets return ``status="degraded"`` best-so-far results).
-    ``mode="connect"`` plans every request with the bidirectional
-    RRT-Connect planner; ``portfolio=("connect", "wave")`` turns every
-    request into a planner race instead (``mode`` is then the base config
+    Every job plans with ``config`` reseeded: without ``tasks``, ``jobs``
+    tasks are generated with seeds ``config.seed .. config.seed + jobs - 1``
+    and each job's config carries its task's seed, so the whole batch is
+    deterministic; with ``tasks``, every job keeps ``config.seed``.
+    ``duplicate=k`` repeats the batch k times — duplicates coalesce or hit
+    the cache, which is how the service command demonstrates a non-zero hit
+    rate.  ``inject="kind"`` or ``"kind:index"`` arms the fault hook on one
+    request (default index 0); ``kind`` is any :class:`PlanRequest.fault`
+    spec (``hang`` / ``crash`` / ``error`` / ``slow:<s>`` / transport
+    kinds).  ``trace=True`` marks every request for the observability layer
+    (workers ship spans/metrics back).  ``portfolio=("connect", "wave")``
+    turns every request into a planner race (``config`` is then the base
     the members derive from).
     """
     if jobs < 1 and tasks is None:
         raise ValueError("jobs must be >= 1")
     if duplicate < 1:
         raise ValueError("duplicate must be >= 1")
-    base: List[PlanRequest] = []
     if tasks is not None:
-        source = [(t, seed) for t in tasks]
+        source = [(t, config.seed) for t in tasks]
     else:
         from repro.workloads import random_task
 
         source = [
-            (random_task(robot, obstacles, seed=seed + i, task_id=i), seed + i)
+            (random_task(robot, obstacles, seed=config.seed + i, task_id=i),
+             config.seed + i)
             for i in range(jobs)
         ]
+    base: List[PlanRequest] = []
     for i, (task, task_seed) in enumerate(source):
-        config = config_for_variant(
-            variant, max_samples=samples, seed=task_seed, goal_bias=goal_bias,
-            deadline_s=deadline_s, mode=mode,
-        )
         base.append(
             PlanRequest(
                 task=task,
-                config=config,
+                config=replace(config, seed=task_seed),
                 smooth=smooth,
                 timeout_s=timeout_s,
                 request_id=f"job-{i:03d}",

@@ -145,7 +145,10 @@ class TestPlannerRuns:
 
 @pytest.mark.parametrize("workers", [0, 1], ids=["inline", "pool1"])
 def test_untraced_service_batch_has_phase_axes(workers):
-    requests = build_requests(jobs=2, samples=SAMPLES)  # trace=False
+    requests = build_requests(
+        moped_config("full", max_samples=SAMPLES, goal_bias=0.1),
+        jobs=2,
+    )  # trace=False
     pool_config = (PoolConfig(num_workers=workers, poll_interval_s=0.01)
                    if workers else None)
     with PlanningService(num_workers=workers, pool_config=pool_config) as svc:

@@ -144,10 +144,14 @@ class TestSplit:
 def telemetry_dump(tmp_path_factory):
     """A real ``repro.service --out`` dump: two jobs submitted twice, so
     the second pass is served from the cache."""
+    from repro.core.moped import config_for_variant
     from repro.service import PlanningService, build_requests
 
     path = tmp_path_factory.mktemp("telemetry") / "telemetry.json"
-    requests = build_requests(jobs=2, samples=60, obstacles=6, duplicate=2)
+    requests = build_requests(
+        config_for_variant("full", max_samples=60, goal_bias=0.1),
+        jobs=2, obstacles=6, duplicate=2,
+    )
     with PlanningService(num_workers=0) as service:
         service.run_batch(requests)
         service.telemetry.dump(path, cache_stats=service.cache.stats())

@@ -9,8 +9,11 @@ the job id that ran them.
 import pytest
 
 from repro import obs
+from repro.core.moped import config_for_variant
 from repro.service import PlanningService, build_requests
 from repro.service.pool import PoolConfig
+
+CONFIG = config_for_variant("full", max_samples=120, goal_bias=0.1)
 
 
 @pytest.fixture
@@ -24,7 +27,7 @@ def ambient():
 
 
 def run_traced_batch(num_workers: int, jobs: int = 2):
-    requests = build_requests(jobs=jobs, samples=120, trace=True)
+    requests = build_requests(CONFIG, jobs=jobs, trace=True)
     pool_config = None
     if num_workers:
         pool_config = PoolConfig(num_workers=num_workers, default_timeout_s=30.0,
@@ -79,7 +82,7 @@ class TestInlineRoundTrip:
         assert set(response.phase_seconds) <= set(obs.PHASES)
 
     def test_traced_requests_bypass_cache(self, ambient):
-        requests = build_requests(jobs=1, samples=120, trace=True, duplicate=2)
+        requests = build_requests(CONFIG, jobs=1, trace=True, duplicate=2)
         with PlanningService(num_workers=0) as svc:
             responses = svc.run_batch(requests)
         assert not any(r.cache_hit for r in responses)
@@ -103,7 +106,7 @@ class TestPooledRoundTrip:
 
     def test_untraced_batch_ships_no_buffers(self, ambient):
         tracer, _ = ambient
-        requests = build_requests(jobs=1, samples=120)  # trace=False
+        requests = build_requests(CONFIG, jobs=1)  # trace=False
         with PlanningService(num_workers=1,
                              pool_config=PoolConfig(num_workers=1,
                                                     poll_interval_s=0.01)) as svc:
@@ -120,7 +123,7 @@ class TestPooledRoundTrip:
 class TestDisabledDefaults:
     def test_untraced_plan_leaves_global_instruments_empty(self):
         # No fixture: the real (disabled) globals must stay untouched.
-        requests = build_requests(jobs=1, samples=120)
+        requests = build_requests(CONFIG, jobs=1)
         with PlanningService(num_workers=0) as svc:
             (response,) = svc.run_batch(requests)
         assert response.status == "ok"

@@ -91,26 +91,28 @@ class TestDegradedWireFormat:
 
 class TestBuildRequestsDeadline:
     def test_deadline_arms_every_config(self):
-        requests = build_requests(jobs=3, samples=100, deadline_s=0.25)
+        config = config_for_variant("full", max_samples=100, deadline_s=0.25)
+        requests = build_requests(config, jobs=3)
         assert all(r.config.deadline_s == 0.25 for r in requests)
 
     def test_default_is_disarmed(self):
-        requests = build_requests(jobs=2, samples=100)
+        requests = build_requests(config_for_variant("full", max_samples=100),
+                                  jobs=2)
         assert all(r.config.deadline_s is None for r in requests)
 
 
 class TestCliDeadline:
     def test_single_plan_reports_degradation(self, capsys):
-        from repro.cli import main
+        from repro.service.__main__ import main
 
         # A path needs about 68 rounds here: 0.5 s leaves ~10x that even on
         # a slow host, and is still far short of 50000 samples.
-        code = main(["--robot", "mobile2d", "--obstacles", "6",
-                     "--samples", "50000", "--seed", "1",
+        code = main(["--jobs", "1", "--workers", "0", "--robot", "mobile2d",
+                     "--obstacles", "6", "--samples", "50000", "--seed", "1",
                      "--deadline", "0.5"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "degraded: deadline" in out
+        err = capsys.readouterr().err
+        assert "job-000: degraded (deadline)" in err
 
 
 class TestServiceDeadline:

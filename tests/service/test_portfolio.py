@@ -207,11 +207,11 @@ class TestInlineRace:
         assert auto.race["planners"] == [winner]
 
     def test_build_requests_portfolio_plumbing(self):
-        requests = build_requests(jobs=2, seed=0, samples=50,
+        config = config_for_variant("full", max_samples=50)
+        requests = build_requests(config, jobs=2,
                                   portfolio=("connect", "wave"))
         assert all(r.portfolio == ("connect", "wave") for r in requests)
-        requests = build_requests(jobs=1, seed=0, samples=50,
-                                  mode="connect")
+        requests = build_requests(replace(config, mode="connect"), jobs=1)
         assert requests[0].config.mode == "connect"
 
     def test_telemetry_sees_every_member(self):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.moped import config_for_variant
 from repro.service import PlanningService, build_requests
 from repro.service.pool import PoolConfig
 from tests.service.test_request import make_request
@@ -95,59 +96,65 @@ class TestServiceSummary:
         json.dumps(summary)  # JSON-safe throughout
 
 
+def config(seed=0, **overrides):
+    return config_for_variant("full", max_samples=50, seed=seed, **overrides)
+
+
 class TestBuildRequests:
     def test_generates_seeded_batch(self):
-        requests = build_requests(jobs=4, seed=10, samples=50)
+        requests = build_requests(config(seed=10), jobs=4)
         assert len(requests) == 4
         seeds = [r.config.seed for r in requests]
         assert seeds == [10, 11, 12, 13]
         assert len({r.cache_key() for r in requests}) == 4
 
     def test_duplicate_repeats_work(self):
-        requests = build_requests(jobs=2, seed=0, samples=50, duplicate=2)
+        requests = build_requests(config(), jobs=2, duplicate=2)
         assert len(requests) == 4
         assert requests[0].cache_key() == requests[2].cache_key()
         assert requests[0].request_id != requests[2].request_id
 
     def test_inject_arms_one_fault(self):
-        requests = build_requests(jobs=3, seed=0, samples=50, inject="hang:1")
+        requests = build_requests(config(), jobs=3, inject="hang:1")
         assert [r.fault for r in requests] == [None, "hang", None]
         with pytest.raises(ValueError):
-            build_requests(jobs=2, seed=0, inject="hang:9")
+            build_requests(config(), jobs=2, inject="hang:9")
 
     def test_tasks_override(self):
         from repro.workloads import random_task
 
         tasks = [random_task("mobile2d", 4, seed=77)]
-        requests = build_requests(tasks=tasks, seed=3, samples=50)
+        requests = build_requests(config(seed=3), tasks=tasks)
         assert len(requests) == 1
         assert requests[0].task is tasks[0]
         assert requests[0].config.seed == 3
 
+    def test_config_reaches_every_job_reseeded(self):
+        base = config(seed=4, wave_width=8, kernels="reference",
+                      mode="connect", deadline_s=2.0)
+        requests = build_requests(base, jobs=2, duplicate=2)
+        assert [r.config for r in requests] == [
+            replace(base, seed=4), replace(base, seed=5),
+        ] * 2
+
     def test_lanes_keyword_is_gone(self):
         # Batches are sized by config.wave_width, not by in-job lanes.
         with pytest.raises(TypeError):
-            build_requests(jobs=1, seed=0, samples=50, lanes=2)
+            build_requests(config(), jobs=1, lanes=2)
 
 
 class TestCliBatchMode:
-    def test_jobs_flag_is_rejected(self, capsys):
-        # Batches go through ``python -m repro.service``; the one-shot CLI
-        # has no batch flags left.
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as info:
-            main(["--jobs", "1"])
-        assert info.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
-
     def test_one_shot_path_unchanged(self, capsys):
-        from repro.cli import main
+        # A single task is a one-job inline batch of the planning command.
+        from repro.service.__main__ import main
 
-        code = main(["--robot", "mobile2d", "--obstacles", "8",
-                     "--samples", "150", "--seed", "1", "--goal-bias", "0.2"])
-        out = capsys.readouterr().out
-        assert "2D Mobile" in out and code in (0, 1)
+        code = main(["--jobs", "1", "--workers", "0", "--robot", "mobile2d",
+                     "--obstacles", "8", "--samples", "150", "--seed", "4",
+                     "--goal-bias", "0.2"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["jobs"] == 1
+        assert captured.err.startswith("job-000: ok success=True")
 
 
 class TestServiceMain:

@@ -72,7 +72,13 @@ class TestPackageMetadata:
         assert f'version = "{repro.__version__}"' in pyproject
 
     def test_console_scripts_resolve(self):
-        from repro.cli import main as plan_main
-        from repro.analysis.run_all import main as figures_main
+        # A regex, not tomllib: tomllib is 3.11+ and the package supports 3.9.
+        import importlib
 
-        assert callable(plan_main) and callable(figures_main)
+        pyproject = (REPO / "pyproject.toml").read_text()
+        block = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)",
+                          pyproject, re.M | re.S).group(1)
+        scripts = re.findall(r'^([\w-]+)\s*=\s*"([\w.]+):(\w+)"', block, re.M)
+        assert {"repro-serve", "repro-figures"} <= {name for name, _, _ in scripts}
+        for _, module, attr in scripts:
+            assert callable(getattr(importlib.import_module(module), attr))
